@@ -67,6 +67,17 @@ func MinCXCount(u linalg.Matrix) int {
 	}
 }
 
+// transpose returns mᵀ (no conjugation).
+func transpose(m linalg.Matrix) linalg.Matrix {
+	out := linalg.New(m.N)
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
+			out.Data[j*m.N+i] = m.Data[i*m.N+j]
+		}
+	}
+	return out
+}
+
 // det4 computes the determinant of a 4×4 complex matrix by cofactor
 // expansion on 2×2 minors (no pivoting needed at this size for unitaries).
 func det4(m linalg.Matrix) complex128 {

@@ -42,6 +42,7 @@ func (t *Template) PolishLM(target linalg.Matrix, params []float64, maxIter int,
 	rTrial := make([]float64, m)
 	jac := make([]float64, m*p)
 	jtj := make([]float64, p*p)
+	sys := make([]float64, p*p)
 	jtr := make([]float64, p)
 	delta := make([]float64, p)
 	trial := make([]float64, p)
@@ -93,7 +94,6 @@ func (t *Template) PolishLM(target linalg.Matrix, params []float64, maxIter int,
 		improved := false
 		for attempt := 0; attempt < 8; attempt++ {
 			// (JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr
-			sys := make([]float64, p*p)
 			copy(sys, jtj)
 			for a := 0; a < p; a++ {
 				d := jtj[a*p+a]

@@ -127,11 +127,6 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	if expired() {
 		return nil, nil, math.Inf(1)
 	}
-	type cand struct {
-		pairs  [][2]int
-		params []float64
-		dist   float64
-	}
 	screenSweepsFor := func(nq int) int {
 		if nq <= 2 {
 			return 120
@@ -216,12 +211,7 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 		if len(next) == 0 {
 			break
 		}
-		// Keep the Beam best structures for the next depth.
-		sort.Slice(next, func(i, j int) bool { return next[i].dist < next[j].dist })
-		if len(next) > s.Beam {
-			next = next[:s.Beam]
-		}
-		beam = next
+		beam = selectBeam(next, s.Beam)
 		if expired() {
 			break
 		}
@@ -231,6 +221,27 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 		return NewTemplate(n, b.pairs), b.params, b.dist
 	}
 	return nil, nil, math.Inf(1)
+}
+
+// cand is one structure evaluated by search: its CX pairs, its best angles,
+// and their distance from the target.
+type cand struct {
+	pairs  [][2]int
+	params []float64
+	dist   float64
+}
+
+// selectBeam keeps the k best candidates for the next depth. Distances are
+// compared quantized to 1e-9 and ties keep generation order, so round-off
+// at the 1e-14 level cannot decide between structures that reach the same
+// distance.
+func selectBeam(next []cand, k int) []cand {
+	key := func(d float64) float64 { return math.Round(d * 1e9) }
+	sort.SliceStable(next, func(i, j int) bool { return key(next[i].dist) < key(next[j].dist) })
+	if len(next) > k {
+		next = next[:k]
+	}
+	return next
 }
 
 // finish translates the raw rz/ry/cx circuit into the target gate set and
