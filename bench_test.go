@@ -29,6 +29,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/opt"
 	"github.com/guoq-dev/guoq/internal/phasepoly"
 	"github.com/guoq-dev/guoq/internal/rewrite"
+	"github.com/guoq-dev/guoq/internal/synth/finite"
 	"github.com/guoq-dev/guoq/internal/synth/numeric"
 )
 
@@ -570,6 +571,27 @@ func BenchmarkSynthesize3QToffoli(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Synthesize(target, 3, 1e-8); err == nil {
+			ok++
+		}
+	}
+	b.ReportMetric(float64(ok)/float64(b.N), "ok/op")
+}
+
+// BenchmarkSynthesizeFinite3Q times default-budget Clifford+T synthesis
+// of seeded 6-gate 3-qubit targets. Like the Toffoli benchmark it reports
+// ok/op, since a failing call ends when its iteration or time budget runs
+// out.
+func BenchmarkSynthesizeFinite3Q(b *testing.B) {
+	vocab := []gate.Name{gate.H, gate.T, gate.Tdg, gate.S, gate.X, gate.CX}
+	targets := make([]*circuit.Circuit, 8)
+	for i := range targets {
+		targets[i] = circuit.Random(3, 6, vocab, rand.New(rand.NewSource(int64(i+1))))
+	}
+	s := finite.New()
+	ok := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Synthesize(targets[i%len(targets)].Unitary(), 3, 1e-8); err == nil {
 			ok++
 		}
 	}

@@ -23,7 +23,9 @@ const maxStackGate = 5
 //
 // This avoids materializing the 2^n × 2^n expanded operator; each column of
 // M is transformed independently, so the cost is O(4^n · 2^m) instead of
-// O(8^n).
+// O(8^n). Single- and two-qubit gates take row-wise fast paths that
+// accumulate every entry in the generic loop's order, so all three paths
+// produce bit-identical results.
 func ApplyGateLeft(g Matrix, qs []int, n int, M Matrix) {
 	dim := 1 << n
 	if M.N != dim {
@@ -33,6 +35,95 @@ func ApplyGateLeft(g Matrix, qs []int, n int, M Matrix) {
 	if g.N != 1<<m {
 		panic(fmt.Sprintf("linalg: ApplyGateLeft: gate dim %d for %d qubits", g.N, m))
 	}
+	for _, q := range qs {
+		if q < 0 || q >= n {
+			panic(fmt.Sprintf("linalg: ApplyGateLeft: qubit %d out of range [0,%d)", q, n))
+		}
+	}
+	switch m {
+	case 1:
+		applyLeft1Q(g.Data, 1<<BitPos(n, qs[0]), M.Data, dim)
+	case 2:
+		applyLeft2Q(g.Data, 1<<BitPos(n, qs[0]), 1<<BitPos(n, qs[1]), M.Data, dim)
+	default:
+		applyLeftGeneric(g, qs, n, M)
+	}
+}
+
+// applyLeft1Q is ApplyGateLeft's single-qubit fast path: rows pair up at
+// stride mask and each pair is mixed by the 2×2 matrix. Each entry starts
+// from a zero accumulator and adds the products in column order, exactly
+// as applyLeftGeneric does.
+//
+//guoq:hotpath
+func applyLeft1Q(gd []complex128, mask int, md []complex128, dim int) {
+	_ = gd[3]
+	g00, g01, g10, g11 := gd[0], gd[1], gd[2], gd[3]
+	for base := 0; base < dim; base += 2 * mask {
+		for r := base; r < base+mask; r++ {
+			top := md[r*dim : r*dim+dim]
+			bot := md[(r+mask)*dim : (r+mask)*dim+dim]
+			for c, a := range top {
+				b := bot[c]
+				var x, y complex128
+				x += g00 * a
+				x += g01 * b
+				y += g10 * a
+				y += g11 * b
+				top[c], bot[c] = x, y
+			}
+		}
+	}
+}
+
+// applyLeft2Q is ApplyGateLeft's two-qubit fast path: rows group into
+// quadruples indexed by the two qubit bits (ma = gate-local MSB), with the
+// generic loop's accumulation order.
+//
+//guoq:hotpath
+func applyLeft2Q(gd []complex128, ma, mb int, md []complex128, dim int) {
+	_ = gd[15]
+	g00, g01, g02, g03 := gd[0], gd[1], gd[2], gd[3]
+	g10, g11, g12, g13 := gd[4], gd[5], gd[6], gd[7]
+	g20, g21, g22, g23 := gd[8], gd[9], gd[10], gd[11]
+	g30, g31, g32, g33 := gd[12], gd[13], gd[14], gd[15]
+	for base := 0; base < dim; base++ {
+		if base&(ma|mb) != 0 {
+			continue
+		}
+		r0 := md[base*dim : base*dim+dim]
+		r1 := md[(base|mb)*dim : (base|mb)*dim+dim]
+		r2 := md[(base|ma)*dim : (base|ma)*dim+dim]
+		r3 := md[(base|ma|mb)*dim : (base|ma|mb)*dim+dim]
+		for c, i0 := range r0 {
+			i1, i2, i3 := r1[c], r2[c], r3[c]
+			var o0, o1, o2, o3 complex128
+			o0 += g00 * i0
+			o0 += g01 * i1
+			o0 += g02 * i2
+			o0 += g03 * i3
+			o1 += g10 * i0
+			o1 += g11 * i1
+			o1 += g12 * i2
+			o1 += g13 * i3
+			o2 += g20 * i0
+			o2 += g21 * i1
+			o2 += g22 * i2
+			o2 += g23 * i3
+			o3 += g30 * i0
+			o3 += g31 * i1
+			o3 += g32 * i2
+			o3 += g33 * i3
+			r0[c], r1[c], r2[c], r3[c] = o0, o1, o2, o3
+		}
+	}
+}
+
+// applyLeftGeneric is ApplyGateLeft for any gate arity: the m ≥ 3 path and
+// the reference the fast paths are tested against.
+func applyLeftGeneric(g Matrix, qs []int, n int, M Matrix) {
+	dim := 1 << n
+	m := len(qs)
 	// masks[j] = bit mask of gate-local bit j in the global index. Stack
 	// scratch for the (universal) small-gate case; see maxStackGate.
 	gdim := 1 << m
@@ -45,9 +136,6 @@ func ApplyGateLeft(g Matrix, qs []int, n int, M Matrix) {
 	}
 	var tmask int
 	for j, q := range qs {
-		if q < 0 || q >= n {
-			panic(fmt.Sprintf("linalg: ApplyGateLeft: qubit %d out of range [0,%d)", q, n))
-		}
 		masks[j] = 1 << BitPos(n, q)
 		tmask |= masks[j]
 	}

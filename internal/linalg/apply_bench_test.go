@@ -98,3 +98,74 @@ func TestApplyKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("ApplyGateLeft m=2: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestApplyGateLeftFastPathsMatchGeneric pins ApplyGateLeft's 1- and
+// 2-qubit fast paths to the generic loop bit for bit, signed zeros
+// included: Clifford+T and CX gates (whose zero entries produce −0
+// products) and random gates, on every qubit placement of 1–4-qubit
+// matrices that are dense, identity, or sparse with signed entries.
+func TestApplyGateLeftFastPathsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	r := complex(1/math.Sqrt2, 0)
+	w := cmplx.Exp(complex(0, math.Pi/4))
+	gates1 := []Matrix{
+		FromRows([][]complex128{{r, r}, {r, -r}}),            // H
+		FromRows([][]complex128{{0, 1}, {1, 0}}),             // X
+		FromRows([][]complex128{{1, 0}, {0, 1i}}),            // S
+		FromRows([][]complex128{{1, 0}, {0, -1i}}),           // S†
+		FromRows([][]complex128{{1, 0}, {0, w}}),             // T
+		FromRows([][]complex128{{1, 0}, {0, cmplx.Conj(w)}}), // T†
+		randomUnitaryish(1, rng),
+		randomUnitaryish(1, rng),
+	}
+	gates2 := []Matrix{
+		FromRows([][]complex128{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}}), // CX
+		randomUnitaryish(2, rng),
+		randomUnitaryish(2, rng),
+	}
+	for n := 1; n <= 4; n++ {
+		dim := 1 << n
+		sparse := New(dim)
+		for i := range sparse.Data {
+			switch rng.Intn(4) {
+			case 0:
+				sparse.Data[i] = complex(-rng.Float64(), 0)
+			case 1:
+				sparse.Data[i] = complex(0, -rng.Float64())
+			case 2:
+				sparse.Data[i] = complex(math.Copysign(0, -1), rng.NormFloat64())
+			}
+		}
+		inputs := []Matrix{Identity(dim), sparse, randomUnitaryish(n, rng)}
+		var placements [][]int
+		for a := 0; a < n; a++ {
+			placements = append(placements, []int{a})
+			for b := 0; b < n; b++ {
+				if a != b {
+					placements = append(placements, []int{a, b})
+				}
+			}
+		}
+		for _, qs := range placements {
+			gs := gates1
+			if len(qs) == 2 {
+				gs = gates2
+			}
+			for gi, g := range gs {
+				for ii, in := range inputs {
+					fast, ref := in.Clone(), in.Clone()
+					ApplyGateLeft(g, qs, n, fast)
+					applyLeftGeneric(g, qs, n, ref)
+					for k := range ref.Data {
+						f, e := fast.Data[k], ref.Data[k]
+						if math.Float64bits(real(f)) != math.Float64bits(real(e)) ||
+							math.Float64bits(imag(f)) != math.Float64bits(imag(e)) {
+							t.Fatalf("n=%d qs=%v gate %d input %d entry %d: fast %v, generic %v",
+								n, qs, gi, ii, k, f, e)
+						}
+					}
+				}
+			}
+		}
+	}
+}

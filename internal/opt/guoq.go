@@ -326,14 +326,23 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 		}
 	}
 
+	// applyCtx is the context transformations run under: the run's
+	// Context, marked with withRegionBound when the temperature is fixed
+	// and cold enough that resynthesis may stop at the region's two-qubit
+	// count. Nil when neither applies.
+	applyCtx := opts.Context
+	if opts.tempScale == nil && opts.Temperature >= regionBoundTemperature {
+		applyCtx = withRegionBound(applyCtx, opts.Cost)
+	}
+
 	// applyFlat is the whole-circuit application path, preferring the
 	// cancellation-aware variant when the run has a context so slow calls
 	// abort promptly on cancellation (the ctx checks consume no randomness,
 	// keeping uncancelled runs bit-identical).
 	applyFlat := func(t Transformation, c *circuit.Circuit, allowed float64, r *rand.Rand) (*circuit.Circuit, float64, bool) {
-		if opts.Context != nil {
+		if applyCtx != nil {
 			if ca, ok := t.(ContextApplier); ok {
-				return ca.ApplyContext(opts.Context, c, allowed, r)
+				return ca.ApplyContext(applyCtx, c, allowed, r)
 			}
 		}
 		return t.Apply(c, allowed, r)
@@ -344,9 +353,9 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 	// On ok the engine holds the candidate and the caller must Commit or
 	// Rollback(0).
 	applyAny := func(t Transformation, allowed float64, r *rand.Rand) (float64, bool) {
-		if opts.Context != nil {
+		if applyCtx != nil {
 			if ea, ok := t.(EngineContextApplier); ok {
-				return ea.ApplyEngineContext(opts.Context, eng, allowed, r)
+				return ea.ApplyEngineContext(applyCtx, eng, allowed, r)
 			}
 		}
 		if ea, ok := t.(EngineApplier); ok {
@@ -509,7 +518,7 @@ func GUOQ(c *circuit.Circuit, ts []Transformation, opts Options) *Result {
 			if !worker.inFlight() {
 				t := slow[rng.Intn(len(slow))]
 				if currErr+t.Epsilon() <= opts.Epsilon {
-					worker.launch(opts.Context, t, curr.Clone(), currErr, opts.Epsilon-currErr, rng.Int63())
+					worker.launch(applyCtx, t, curr.Clone(), currErr, opts.Epsilon-currErr, rng.Int63())
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
+	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
 	"github.com/guoq-dev/guoq/internal/rewrite"
@@ -204,6 +205,14 @@ func (t *PhaseFoldTransformation) ApplyEngine(e *rewrite.Engine, _ float64, _ *r
 // ResynthTransformation is the τ_ε for resynthesis (§4.1): grow a random
 // convex subcircuit up to MaxQubits qubits (§5.3), compute its unitary, and
 // invoke unitary synthesis with the allowed tolerance.
+//
+// When the search marks the context with withRegionBound, the synthesis
+// context also carries the region's two-qubit gate count as a
+// synth.TwoQubitBound, and a synthesizer that honours it (the numeric one)
+// stops its structure search there. The search marks it only where a
+// replacement with more two-qubit gates than its region would almost never
+// be accepted; see withRegionBound and regionBound for the exact case.
+// Equal-count replacements stay reachable.
 type ResynthTransformation struct {
 	Synth synth.Synthesizer
 	// MaxQubits limits subcircuit width (3 in the paper's instantiation).
@@ -243,6 +252,12 @@ func (t *ResynthTransformation) propose(ctx context.Context, c *circuit.Circuit,
 		return nil, nil, 0, false
 	}
 	target := sub.Unitary()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if k, ok := regionBound(ctx, c, region); ok {
+		ctx = synth.WithTwoQubitBound(ctx, k)
+	}
 	replacement, err := synth.SynthesizeContext(ctx, t.Synth, target, sub.NumQubits, eps)
 	if err != nil {
 		return nil, nil, 0, false
@@ -253,6 +268,82 @@ func (t *ResynthTransformation) propose(ctx context.Context, c *circuit.Circuit,
 		return nil, nil, 0, false
 	}
 	return region, replacement, actual, true
+}
+
+// regionBoundKey keys the run's cost in a slow transformation's context;
+// see withRegionBound.
+type regionBoundKey struct{}
+
+// withRegionBound marks ctx so that resynthesis may bound its synthesis
+// call by the region's two-qubit count under cost. GUOQ marks the context
+// of its slow transformations only when its temperature t is fixed (no
+// adaptive steering) and at least regionBoundTemperature. The acceptance
+// rule takes a move from cost c to c' > c with probability exp(−t·c'/c),
+// below e⁻ᵗ ≤ e⁻¹⁰ there (and never when c ≤ 0), so a replacement that
+// raises the cost is one the search almost never keeps. Hotter searches —
+// portfolio workers on an exploring rung, adaptive workers, a lower
+// Options.Temperature — leave it unmarked and search unbounded.
+func withRegionBound(ctx context.Context, cost Cost) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, regionBoundKey{}, cost)
+}
+
+// regionBoundTemperature is the lowest fixed temperature at which GUOQ
+// marks its slow transformations with withRegionBound: the paper's t = 10.
+const regionBoundTemperature = 10
+
+// regionBound returns the two-qubit bound propose attaches for region r of
+// c: r's two-qubit count k, if ctx was marked by withRegionBound and, under
+// the marked cost, every circuit made only of k+1 copies of r's first
+// two-qubit gate on one ordered pair of r's qubits costs more than r's own
+// gates. For a cost that charges each gate separately and never negatively
+// — the two-qubit, T-count, gate-count and fidelity objectives — the
+// cheapest of those circuits is the cheapest a replacement with more
+// two-qubit gates of r's kind can be, so the check holds exactly when every
+// such replacement raises the cost.
+// It fails, and the search stays unbounded, where fewer single-qubit gates
+// can pay for an extra two-qubit one: gate count, T count on a region with
+// T gates, fidelity on a region with enough single-qubit gates. A region
+// with no two-qubit gate is never bounded.
+func regionBound(ctx context.Context, c *circuit.Circuit, r *circuit.Region) (int, bool) {
+	cost, ok := ctx.Value(regionBoundKey{}).(Cost)
+	if !ok {
+		return 0, false
+	}
+	own := circuit.New(c.NumQubits)
+	own.Gates = make([]gate.Gate, 0, len(r.Indices))
+	var two *gate.Gate
+	for _, i := range r.Indices {
+		g := &c.Gates[i]
+		own.Gates = append(own.Gates, *g)
+		if two == nil && g.IsTwoQubit() {
+			two = g
+		}
+	}
+	if two == nil {
+		return 0, false
+	}
+	k := own.TwoQubitCount()
+	limit := cost(own)
+	probe := circuit.New(c.NumQubits)
+	probe.Gates = make([]gate.Gate, k+1)
+	for _, a := range r.Qubits {
+		for _, b := range r.Qubits {
+			if a == b {
+				continue
+			}
+			g := gate.Gate{Name: two.Name, Qubits: []int{a, b}, Params: two.Params}
+			for i := range probe.Gates {
+				probe.Gates[i] = g
+			}
+			if cost(probe) <= limit {
+				return 0, false
+			}
+		}
+	}
+	return k, true
 }
 
 func (t *ResynthTransformation) Apply(c *circuit.Circuit, allowedEps float64, rng *rand.Rand) (*circuit.Circuit, float64, bool) {

@@ -186,34 +186,51 @@ func canonKey(m linalg.Matrix) string {
 }
 
 // anneal runs simulated annealing over bounded gate sequences: moves are
-// insert / delete / replace; the score is the HS distance with a small
-// length penalty; on success the result is greedily pruned.
+// insert / delete / replace; the score is the HS distance; on success the
+// result is greedily pruned.
+//
+// A sequence is a word of indices into the move vocabulary, whose gate
+// matrices are built once per call. Scoring rebuilds the unitary in one
+// reused d×d buffer and mutation writes into a spare word that swaps with
+// the current one on acceptance, so an iteration allocates nothing.
 func (s *Synthesizer) anneal(ctx context.Context, target linalg.Matrix, n int, tol float64) (*circuit.Circuit, bool) {
-	rng := rand.New(rand.NewSource(s.Seed ^ hashMatrix(target)))
+	rng := rand.New(rand.NewSource(s.Seed ^ synth.HashMatrix(target)))
 	vocab := moves(n)
+	mats := make([]linalg.Matrix, len(vocab))
+	for i, g := range vocab {
+		mats[i] = gate.Matrix(g)
+	}
 	deadline := time.Now().Add(s.MaxTime)
 
-	cost := func(gs []gate.Gate) float64 {
-		u := linalg.Identity(target.N)
-		for _, g := range gs {
-			linalg.ApplyGateLeft(gate.Matrix(g), g.Qubits, n, u)
+	id, u := linalg.Identity(target.N), linalg.New(target.N)
+	cost := func(word []int) float64 {
+		copy(u.Data, id.Data)
+		for _, m := range word {
+			linalg.ApplyGateLeft(mats[m], vocab[m].Qubits, n, u)
 		}
 		return linalg.HSDistance(u, target)
 	}
 
+	cur := make([]int, 0, s.MaxGates+1)
+	cand := make([]int, 0, s.MaxGates+1)
 	for restart := 0; restart < s.Restarts; restart++ {
-		var cur []gate.Gate
+		cur = cur[:0]
 		curCost := cost(cur)
 		temp := 0.3
 		for it := 0; it < s.Iters; it++ {
 			temp *= 0.999
-			cand := mutate(cur, vocab, s.MaxGates, rng)
+			cand = mutate(cand, cur, len(vocab), s.MaxGates, rng)
 			cc := cost(cand)
 			if cc <= curCost || rng.Float64() < math.Exp((curCost-cc)/math.Max(temp, 1e-4)) {
-				cur, curCost = cand, cc
+				cur, cand = cand, cur
+				curCost = cc
 			}
 			if curCost <= tol {
-				return s.prune(cur, target, n, tol), true
+				gs := make([]gate.Gate, len(cur))
+				for i, m := range cur {
+					gs[i] = vocab[m]
+				}
+				return s.prune(gs, target, n, tol), true
 			}
 			if it%128 == 0 {
 				if s.MaxTime > 0 && time.Now().After(deadline) {
@@ -228,38 +245,38 @@ func (s *Synthesizer) anneal(ctx context.Context, target linalg.Matrix, n int, t
 	return nil, false
 }
 
-func mutate(cur []gate.Gate, vocab []gate.Gate, maxGates int, rng *rand.Rand) []gate.Gate {
-	out := make([]gate.Gate, len(cur))
-	copy(out, cur)
-	switch op := rng.Intn(3); {
-	case op == 0 && len(out) < maxGates: // insert
+// mutate writes into dst (reusing its storage) a random neighbour of cur, a
+// word over a vocabulary of nvocab moves: one insert, delete or replace,
+// never growing past maxGates.
+func mutate(dst, cur []int, nvocab, maxGates int, rng *rand.Rand) []int {
+	out := append(dst[:0], cur...)
+	insert := func() {
 		pos := rng.Intn(len(out) + 1)
-		g := vocab[rng.Intn(len(vocab))]
-		out = append(out, gate.Gate{})
+		m := rng.Intn(nvocab)
+		out = append(out, 0)
 		copy(out[pos+1:], out[pos:])
-		out[pos] = g
+		out[pos] = m
+	}
+	switch op := rng.Intn(3); {
+	case op == 0 && len(out) < maxGates:
+		insert()
 	case op == 1 && len(out) > 0: // delete
 		pos := rng.Intn(len(out))
 		out = append(out[:pos], out[pos+1:]...)
 	case op == 2 && len(out) > 0: // replace
-		out[rng.Intn(len(out))] = vocab[rng.Intn(len(vocab))]
+		out[rng.Intn(len(out))] = rng.Intn(nvocab)
 	default:
 		if len(out) < maxGates {
-			pos := rng.Intn(len(out) + 1)
-			g := vocab[rng.Intn(len(vocab))]
-			out = append(out, gate.Gate{})
-			copy(out[pos+1:], out[pos:])
-			out[pos] = g
+			insert()
 		}
 	}
 	return out
 }
 
 // prune greedily removes gates that keep the distance within tol, then
-// cleans the result.
+// cleans the result. It never writes to gs.
 func (s *Synthesizer) prune(gs []gate.Gate, target linalg.Matrix, n int, tol float64) *circuit.Circuit {
-	cur := make([]gate.Gate, len(gs))
-	copy(cur, gs)
+	cur := gs
 	dist := func(list []gate.Gate) float64 {
 		u := linalg.Identity(target.N)
 		for _, g := range list {
@@ -278,13 +295,4 @@ func (s *Synthesizer) prune(gs []gate.Gate, target linalg.Matrix, n int, tol flo
 	c := circuit.New(n)
 	c.Append(cur...)
 	return rewrite.Cleanup(c, gateset.CliffordT.Name)
-}
-
-func hashMatrix(m linalg.Matrix) int64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range m.Data {
-		h = (h ^ uint64(int64(real(v)*1e6))) * 1099511628211
-		h = (h ^ uint64(int64(imag(v)*1e6))) * 1099511628211
-	}
-	return int64(h)
 }

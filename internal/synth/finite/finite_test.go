@@ -2,6 +2,7 @@ package finite
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
@@ -97,5 +98,62 @@ func TestTooManyQubitsRejected(t *testing.T) {
 	s := New()
 	if _, err := s.Synthesize(linalg.Identity(16), 4, 1e-8); err == nil {
 		t.Fatal("4 qubits should be rejected")
+	}
+}
+
+// cliffordTTarget is the unitary of a seeded random Clifford+T circuit with
+// 2n gates on n qubits.
+func cliffordTTarget(n int, seed int64) linalg.Matrix {
+	vocab := []gate.Name{gate.H, gate.T, gate.Tdg, gate.S, gate.X, gate.CX}
+	return circuit.Random(n, 2*n, vocab, rand.New(rand.NewSource(seed))).Unitary()
+}
+
+// TestAnnealGolden pins the annealer's output for seeded 2- and 3-qubit
+// targets, so changes to how candidates are scored cannot change what the
+// search finds. MaxTime is zero: the result must not depend on timing.
+func TestAnnealGolden(t *testing.T) {
+	cases := []struct {
+		n     int
+		seed  int64
+		gates string
+	}{
+		{2, 1, "h q[0]; s q[0]; s q[0]; h q[0]; x q[0]; s q[1]; cx q[0],q[1]; t q[0]; s q[1]; x q[0]; t q[0]; cx q[1],q[0]; sdg q[1]; cx q[0],q[1]; t q[0]; cx q[0],q[1];"},
+		{2, 2, "x q[0]; h q[0]; tdg q[0]; x q[0];"},
+		{2, 8, "h q[1]; s q[0]; cx q[0],q[1]; tdg q[0]; cx q[0],q[1]; s q[1]; s q[1]; h q[1]; tdg q[0]; cx q[1],q[0]; s q[1];"},
+		{3, 2, "h q[2]; tdg q[2];"},
+		{3, 6, "t q[0]; x q[0]; t q[1]; h q[2]; s q[0];"},
+		{3, 8, "cx q[1],q[2]; x q[0]; cx q[2],q[1]; s q[0];"},
+	}
+	for _, tc := range cases {
+		s := New()
+		s.MaxTime = 0
+		out, err := s.Synthesize(cliffordTTarget(tc.n, tc.seed), tc.n, 1e-8)
+		if err != nil {
+			t.Fatalf("n=%d seed=%d: %v", tc.n, tc.seed, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.WriteQASM()), "\n")
+		if got := strings.Join(lines[3:], " "); got != tc.gates {
+			t.Errorf("n=%d seed=%d:\n got %s\nwant %s", tc.n, tc.seed, got, tc.gates)
+		}
+	}
+}
+
+// TestAnnealAllocsIndependentOfIters pins the allocation-free annealing
+// loop: a failing 3-qubit call allocates the same at 500 and at 2000
+// iterations per restart.
+func TestAnnealAllocsIndependentOfIters(t *testing.T) {
+	target := cliffordTTarget(3, 3)
+	allocs := func(iters int) float64 {
+		s := New()
+		s.MaxTime = 0
+		s.Iters = iters
+		return testing.AllocsPerRun(1, func() {
+			if _, err := s.Synthesize(target, 3, 1e-8); err == nil {
+				t.Fatalf("Iters=%d: expected no solution", iters)
+			}
+		})
+	}
+	if a, b := allocs(500), allocs(2000); a != b {
+		t.Fatalf("allocs grew with Iters: %v at 500, %v at 2000", a, b)
 	}
 }

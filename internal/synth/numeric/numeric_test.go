@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
 	"github.com/guoq-dev/guoq/internal/linalg"
+	"github.com/guoq-dev/guoq/internal/synth"
 )
 
 func TestTemplateUnitaryMatchesInstantiate(t *testing.T) {
@@ -392,6 +394,56 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 	if !circuit.Equal(a, b) {
 		t.Fatal("synthesis is not deterministic for identical targets")
+	}
+}
+
+// TestSynthesizeTwoQubitBound: a synth.TwoQubitBound below the CX count
+// the unbounded search finds for the ibm-eagle Toffoli leaves no solution,
+// and a bound at that count finds the same circuit as no bound.
+func TestSynthesizeTwoQubitBound(t *testing.T) {
+	c := circuit.New(3)
+	c.Append(gate.NewCCX(0, 1, 2))
+	target := gateset.MustTranslate(c, gateset.IBMEagle).Unitary()
+	s := New(gateset.IBMEagle)
+	s.MaxTime = 0
+	free, err := s.Synthesize(target, 3, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := free.TwoQubitCount()
+	ctx := context.Background()
+	if _, err := s.SynthesizeContext(synth.WithTwoQubitBound(ctx, k-1), target, 3, 1e-8); !errors.Is(err, synth.ErrNoSolution) {
+		t.Fatalf("bound %d below the %d CX found: err %v, want ErrNoSolution", k-1, k, err)
+	}
+	at, err := s.SynthesizeContext(synth.WithTwoQubitBound(ctx, k), target, 3, 1e-8)
+	if err != nil {
+		t.Fatalf("bound %d: %v", k, err)
+	}
+	if !circuit.Equal(at, free) {
+		t.Fatalf("bound %d changed the result:\n%v\nunbounded:\n%v", k, at, free)
+	}
+}
+
+// TestSynthesize2QBoundBelowMinCX: the exact 2-qubit path gives up at once
+// when the target provably needs more CX than the bound.
+func TestSynthesize2QBoundBelowMinCX(t *testing.T) {
+	c := circuit.New(2)
+	c.Append(gate.NewCX(0, 1), gate.NewCX(1, 0), gate.NewCX(0, 1)) // SWAP
+	target := c.Unitary()
+	if k := MinCXCount(target); k != 3 {
+		t.Fatalf("MinCXCount = %d, want 3", k)
+	}
+	s := New(gateset.IBMEagle)
+	ctx := context.Background()
+	if _, err := s.SynthesizeContext(synth.WithTwoQubitBound(ctx, 2), target, 2, 1e-8); !errors.Is(err, synth.ErrNoSolution) {
+		t.Fatalf("bound 2: err %v, want ErrNoSolution", err)
+	}
+	out, err := s.SynthesizeContext(synth.WithTwoQubitBound(ctx, 3), target, 2, 1e-8)
+	if err != nil {
+		t.Fatalf("bound 3: %v", err)
+	}
+	if got := out.TwoQubitCount(); got != 3 {
+		t.Fatalf("bound 3: %d two-qubit gates, want 3", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/linalg"
+	"github.com/guoq-dev/guoq/internal/synth"
 )
 
 // Rotosolve-style exact coordinate ascent on the Hilbert–Schmidt overlap,
@@ -171,7 +172,7 @@ func (t *Template) Optimize(target linalg.Matrix, inits [][]float64, restarts, m
 		p := make([]float64, t.nparam)
 		if len(starts) > len(inits) { // one zero start, the rest random
 			if rng == nil {
-				rng = rand.New(rand.NewSource(hashMatrix(target) ^ int64(t.nparam)))
+				rng = rand.New(rand.NewSource(synth.HashMatrix(target) ^ int64(t.nparam)))
 			}
 			for i := range p {
 				p[i] = rng.Float64()*2*math.Pi - math.Pi

@@ -64,6 +64,7 @@ func (s *Synthesizer) Synthesize(target linalg.Matrix, numQubits int, eps float6
 // search polls ctx between structure evaluations (and honours a ctx
 // deadline earlier than MaxTime), so a cancelled caller gets ErrNoSolution
 // within one coordinate-ascent evaluation instead of a full MaxTime drain.
+// A synth.TwoQubitBound in ctx limits the CX count of the result.
 func (s *Synthesizer) SynthesizeContext(ctx context.Context, target linalg.Matrix, numQubits int, eps float64) (*circuit.Circuit, error) {
 	if !s.GateSet.Continuous() {
 		return nil, fmt.Errorf("numeric: gate set %s is not continuous", s.GateSet.Name)
@@ -101,7 +102,10 @@ func one(target linalg.Matrix, n int) (*circuit.Circuit, error) {
 // search explores structures in increasing CX count, so the first success
 // carries the minimal two-qubit cost. For 2 qubits the structure space is a
 // line (0..3 CX suffice by the KAK theorem); for 3 qubits a beam over pair
-// sequences, warm-starting each child from its parent's parameters.
+// sequences, warm-starting each child from its parent's parameters. A
+// synth.TwoQubitBound in ctx stops the search at that many CX: the exact
+// 2-qubit path gives up when the target needs more, and the depth loop
+// stops at min(MaxBlocks, bound).
 func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, tol float64) (*Template, []float64, float64) {
 	var deadline time.Time
 	if s.MaxTime > 0 {
@@ -126,6 +130,11 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	}
 	if expired() {
 		return nil, nil, math.Inf(1)
+	}
+	maxBlocks := s.MaxBlocks
+	bound, bounded := synth.TwoQubitBound(ctx)
+	if bounded && bound < maxBlocks {
+		maxBlocks = bound
 	}
 	screenSweepsFor := func(nq int) int {
 		if nq <= 2 {
@@ -167,6 +176,9 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	// approximate the target, which the incremental search below discovers.
 	if n == 2 && tol < 1e-6 {
 		k := MinCXCount(target)
+		if bounded && k > bound {
+			return nil, nil, math.Inf(1)
+		}
 		var structure [][2]int
 		for i := 0; i < k; i++ {
 			structure = append(structure, [2]int{0, 1})
@@ -191,7 +203,7 @@ func (s *Synthesizer) search(ctx context.Context, target linalg.Matrix, n int, t
 	}
 	beam := []cand{best}
 	pairs := pairSets(n)
-	for depth := 1; depth <= s.MaxBlocks; depth++ {
+	for depth := 1; depth <= maxBlocks; depth++ {
 		var next []cand
 		for _, b := range beam {
 			for _, p := range pairs {
@@ -255,15 +267,4 @@ func (s *Synthesizer) finish(c *circuit.Circuit, err error) (*circuit.Circuit, e
 		return nil, terr
 	}
 	return rewrite.Cleanup(native, s.GateSet.Name), nil
-}
-
-// hashMatrix derives a deterministic seed from the target's entries so that
-// synthesizing the same unitary twice explores the same restarts.
-func hashMatrix(m linalg.Matrix) int64 {
-	var h uint64 = 14695981039346656037
-	for _, v := range m.Data {
-		h = (h ^ uint64(int64(real(v)*1e6))) * 1099511628211
-		h = (h ^ uint64(int64(imag(v)*1e6))) * 1099511628211
-	}
-	return int64(h)
 }

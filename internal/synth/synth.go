@@ -49,6 +49,39 @@ func SynthesizeContext(ctx context.Context, s Synthesizer, target linalg.Matrix,
 	return s.Synthesize(target, numQubits, eps)
 }
 
+// twoQubitBoundKey keys the two-qubit bound in a synthesis context.
+type twoQubitBoundKey struct{}
+
+// WithTwoQubitBound returns ctx carrying a bound of k two-qubit gates on the
+// circuit the synthesizer should return. The optimizer's resynthesis sets
+// it to the replaced region's own two-qubit count, and only where a
+// replacement with more two-qubit gates would be accepted with probability
+// below e⁻¹⁰: a search at a fixed temperature of at least 10 whose
+// objective makes every such replacement cost more than the region. The
+// bound travels in the context so it reaches the synthesizer through any
+// wrapper that forwards SynthesizeContext, without widening the
+// interfaces. Synthesizers may ignore it.
+func WithTwoQubitBound(ctx context.Context, k int) context.Context {
+	return context.WithValue(ctx, twoQubitBoundKey{}, k)
+}
+
+// TwoQubitBound returns the bound set by WithTwoQubitBound, if any.
+func TwoQubitBound(ctx context.Context) (int, bool) {
+	k, ok := ctx.Value(twoQubitBoundKey{}).(int)
+	return k, ok
+}
+
+// HashMatrix derives a deterministic seed from a target's entries, so that
+// synthesizing the same unitary twice explores the same random starts.
+func HashMatrix(m linalg.Matrix) int64 {
+	var h uint64 = 14695981039346656037
+	for _, v := range m.Data {
+		h = (h ^ uint64(int64(real(v)*1e6))) * 1099511628211
+		h = (h ^ uint64(int64(imag(v)*1e6))) * 1099511628211
+	}
+	return int64(h)
+}
+
 // Resynthesize is the thin wrapper of §4.1: it computes the subcircuit's
 // unitary and invokes unitary synthesis, yielding an ε-equivalent circuit.
 func Resynthesize(s Synthesizer, sub *circuit.Circuit, eps float64) (*circuit.Circuit, error) {
