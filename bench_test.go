@@ -518,22 +518,65 @@ func BenchmarkEngineFullPass(b *testing.B) {
 	}
 }
 
+// The whole-circuit ε = 0 passes run after nearly every search step and
+// almost never change anything, so each benchmark has a "random" case (a
+// circuit with plenty to change) and a "fixpoint" case: a 256-gate
+// ibm-eagle window of a suite family already at the pass's fixpoint, the
+// shape the fixpoint search feeds them.
+
+// passFixpoint iterates pass from a 256-gate ibm-eagle window of the
+// adder until it reports no change.
+func passFixpoint(b *testing.B, pass func(*circuit.Circuit, *gateset.GateSet) (*circuit.Circuit, int)) *circuit.Circuit {
+	full, err := gateset.Translate(benchmarks.Adder(8), gateset.IBMEagle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := circuit.New(full.NumQubits)
+	c.Gates = full.Gates[:256]
+	for changed := 1; changed > 0; {
+		c, changed = pass(c, gateset.IBMEagle)
+	}
+	return c
+}
+
+// passSink keeps the pass benchmarks' results live.
+var passSink *circuit.Circuit
+
+// benchPass runs pass over random (in gate set gs) and over an ibm-eagle
+// fixpoint.
+func benchPass(b *testing.B, random *circuit.Circuit, gs *gateset.GateSet, pass func(*circuit.Circuit, *gateset.GateSet) (*circuit.Circuit, int)) {
+	b.Run("random", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			passSink, _ = pass(random, gs)
+		}
+	})
+	b.Run("fixpoint", func(b *testing.B) {
+		c := passFixpoint(b, pass)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			passSink, _ = pass(c, gateset.IBMEagle)
+		}
+	})
+}
+
 func BenchmarkCleanupPass(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	c := circuit.Random(16, 600, gateset.CliffordT.Gates, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rewrite.Cleanup(c, "cliffordt")
-	}
+	benchPass(b, c, gateset.CliffordT, rewrite.CleanupChangedFor)
 }
 
 func BenchmarkPhaseFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	c := circuit.Random(16, 600, []gate.Name{gate.T, gate.Tdg, gate.S, gate.X, gate.H, gate.CX}, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = phasepoly.Fold(c, "cliffordt")
-	}
+	benchPass(b, c, gateset.CliffordT, phasepoly.FoldChangedFor)
+}
+
+func BenchmarkFuse1Q(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	c := circuit.Random(16, 600, gateset.IBMEagle.Gates, rng)
+	benchPass(b, c, gateset.IBMEagle, rewrite.Fuse1QChanged)
 }
 
 func BenchmarkGrowConvex(b *testing.B) {

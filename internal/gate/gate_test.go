@@ -163,3 +163,32 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+// TestMatrixIntoOverwritesStale pins MatrixInto's reuse contract: into a
+// buffer holding stale entries it writes exactly Matrix's bits.
+func TestMatrixIntoOverwritesStale(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range Names() {
+		s, _ := SpecOf(n)
+		qs := make([]int, s.Qubits)
+		ps := make([]float64, s.Params)
+		for i := range qs {
+			qs[i] = i
+		}
+		for i := range ps {
+			ps[i] = rng.Float64()*4*math.Pi - 2*math.Pi
+		}
+		g := New(n, qs, ps)
+		dst := linalg.New(1 << s.Qubits)
+		for i := range dst.Data {
+			dst.Data[i] = complex(float64(i)+0.5, -1)
+		}
+		MatrixInto(g, dst)
+		want := Matrix(g)
+		for i := range want.Data {
+			if dst.Data[i] != want.Data[i] {
+				t.Fatalf("%s: entry %d is %v, Matrix has %v", n, i, dst.Data[i], want.Data[i])
+			}
+		}
+	}
+}

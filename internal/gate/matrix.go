@@ -11,118 +11,108 @@ import (
 // Matrix returns the unitary matrix of the gate application g in its own
 // 2^arity-dimensional space (first listed qubit = most significant bit).
 func Matrix(g Gate) linalg.Matrix {
+	s, ok := specs[g.Name]
+	if !ok {
+		panic(fmt.Sprintf("gate: Matrix: unknown gate %q", g.Name))
+	}
+	m := linalg.New(1 << s.Qubits)
+	MatrixInto(g, m)
+	return m
+}
+
+// MatrixInto writes the matrix of g into dst, which must have g's
+// dimension and may hold stale entries. It allocates nothing, so hot
+// passes can evaluate gate products into reused buffers; Matrix is New
+// plus MatrixInto, so both produce the same bits.
+func MatrixInto(g Gate, dst linalg.Matrix) {
+	d := dst.Data
 	switch g.Name {
 	case I:
-		return linalg.Identity(2)
+		set2(d, 1, 0, 0, 1)
 	case H:
 		h := complex(1/math.Sqrt2, 0)
-		return linalg.FromRows([][]complex128{{h, h}, {h, -h}})
+		set2(d, h, h, h, -h)
 	case X:
-		return linalg.FromRows([][]complex128{{0, 1}, {1, 0}})
+		set2(d, 0, 1, 1, 0)
 	case Y:
-		return linalg.FromRows([][]complex128{{0, -1i}, {1i, 0}})
+		set2(d, 0, -1i, 1i, 0)
 	case Z:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, -1}})
+		set2(d, 1, 0, 0, -1)
 	case S:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, 1i}})
+		set2(d, 1, 0, 0, 1i)
 	case Sdg:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, -1i}})
+		set2(d, 1, 0, 0, -1i)
 	case T:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(math.Pi / 4)}})
+		set2(d, 1, 0, 0, phase(math.Pi/4))
 	case Tdg:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(-math.Pi / 4)}})
+		set2(d, 1, 0, 0, phase(-math.Pi/4))
 	case SX:
-		return linalg.FromRows([][]complex128{
-			{0.5 + 0.5i, 0.5 - 0.5i},
-			{0.5 - 0.5i, 0.5 + 0.5i},
-		})
+		set2(d, 0.5+0.5i, 0.5-0.5i, 0.5-0.5i, 0.5+0.5i)
 	case SXdg:
-		return linalg.FromRows([][]complex128{
-			{0.5 - 0.5i, 0.5 + 0.5i},
-			{0.5 + 0.5i, 0.5 - 0.5i},
-		})
+		set2(d, 0.5-0.5i, 0.5+0.5i, 0.5+0.5i, 0.5-0.5i)
 	case Rx:
 		c, s := trig(g.Params[0])
-		return linalg.FromRows([][]complex128{{c, -1i * s}, {-1i * s, c}})
+		set2(d, c, -1i*s, -1i*s, c)
 	case Ry:
 		c, s := trig(g.Params[0])
-		return linalg.FromRows([][]complex128{{c, -s}, {s, c}})
+		set2(d, c, -s, s, c)
 	case Rz:
 		th := g.Params[0]
-		return linalg.FromRows([][]complex128{
-			{phase(-th / 2), 0},
-			{0, phase(th / 2)},
-		})
+		set2(d, phase(-th/2), 0, 0, phase(th/2))
 	case U1:
-		return linalg.FromRows([][]complex128{{1, 0}, {0, phase(g.Params[0])}})
+		set2(d, 1, 0, 0, phase(g.Params[0]))
 	case U2:
 		p, l := g.Params[0], g.Params[1]
 		inv := complex(1/math.Sqrt2, 0)
-		return linalg.FromRows([][]complex128{
-			{inv, -inv * phase(l)},
-			{inv * phase(p), inv * phase(p+l)},
-		})
+		set2(d, inv, -inv*phase(l), inv*phase(p), inv*phase(p+l))
 	case U3:
-		return u3Matrix(g.Params[0], g.Params[1], g.Params[2])
+		u3Into(d, g.Params[0], g.Params[1], g.Params[2])
 	case CX:
-		return linalg.FromRows([][]complex128{
-			{1, 0, 0, 0},
-			{0, 1, 0, 0},
-			{0, 0, 0, 1},
-			{0, 0, 1, 0},
-		})
+		diag(d, 4, 1, 1, 0, 0)
+		d[2*4+3], d[3*4+2] = 1, 1
 	case CZ:
-		return linalg.FromRows([][]complex128{
-			{1, 0, 0, 0},
-			{0, 1, 0, 0},
-			{0, 0, 1, 0},
-			{0, 0, 0, -1},
-		})
+		diag(d, 4, 1, 1, 1, -1)
 	case Swap:
-		return linalg.FromRows([][]complex128{
-			{1, 0, 0, 0},
-			{0, 0, 1, 0},
-			{0, 1, 0, 0},
-			{0, 0, 0, 1},
-		})
+		diag(d, 4, 1, 0, 0, 1)
+		d[1*4+2], d[2*4+1] = 1, 1
 	case Rxx:
 		c, s := trig(g.Params[0])
 		is := -1i * s
-		return linalg.FromRows([][]complex128{
-			{c, 0, 0, is},
-			{0, c, is, 0},
-			{0, is, c, 0},
-			{is, 0, 0, c},
-		})
+		diag(d, 4, c, c, c, c)
+		d[0*4+3], d[1*4+2], d[2*4+1], d[3*4+0] = is, is, is, is
 	case Rzz:
 		th := g.Params[0]
 		a, b := phase(-th/2), phase(th/2)
-		return linalg.FromRows([][]complex128{
-			{a, 0, 0, 0},
-			{0, b, 0, 0},
-			{0, 0, b, 0},
-			{0, 0, 0, a},
-		})
+		diag(d, 4, a, b, b, a)
 	case CP:
-		return linalg.FromRows([][]complex128{
-			{1, 0, 0, 0},
-			{0, 1, 0, 0},
-			{0, 0, 1, 0},
-			{0, 0, 0, phase(g.Params[0])},
-		})
+		diag(d, 4, 1, 1, 1, phase(g.Params[0]))
 	case CCX:
-		m := linalg.Identity(8)
-		m.Set(6, 6, 0)
-		m.Set(7, 7, 0)
-		m.Set(6, 7, 1)
-		m.Set(7, 6, 1)
-		return m
+		diag(d, 8, 1, 1, 1, 1, 1, 1, 0, 0)
+		d[6*8+7], d[7*8+6] = 1, 1
 	case CCZ:
-		m := linalg.Identity(8)
-		m.Set(7, 7, -1)
-		return m
+		diag(d, 8, 1, 1, 1, 1, 1, 1, 1, -1)
+	default:
+		panic(fmt.Sprintf("gate: Matrix: unknown gate %q", g.Name))
 	}
-	panic(fmt.Sprintf("gate: Matrix: unknown gate %q", g.Name))
+}
+
+// set2 writes the 2×2 matrix [[a, b], [c, e]].
+func set2(d []complex128, a, b, c, e complex128) {
+	if len(d) != 4 {
+		panic(fmt.Sprintf("gate: MatrixInto: 1-qubit gate into %d entries", len(d)))
+	}
+	d[0], d[1], d[2], d[3] = a, b, c, e
+}
+
+// diag zeroes the n×n matrix d and writes the diagonal vs.
+func diag(d []complex128, n int, vs ...complex128) {
+	if len(d) != n*n {
+		panic(fmt.Sprintf("gate: MatrixInto: %d-dimensional gate into %d entries", n, len(d)))
+	}
+	clear(d)
+	for i, v := range vs {
+		d[i*n+i] = v
+	}
 }
 
 func phase(a float64) complex128 { return cmplx.Exp(complex(0, a)) }
@@ -131,18 +121,17 @@ func trig(theta float64) (c, s complex128) {
 	return complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
 }
 
-func u3Matrix(t, p, l float64) linalg.Matrix {
+func u3Into(d []complex128, t, p, l float64) {
 	c := complex(math.Cos(t/2), 0)
 	s := complex(math.Sin(t/2), 0)
-	return linalg.FromRows([][]complex128{
-		{c, -phase(l) * s},
-		{phase(p) * s, phase(p+l) * c},
-	})
+	set2(d, c, -phase(l)*s, phase(p)*s, phase(p+l)*c)
 }
 
 // U3Matrix exposes the U3 gate matrix for synthesis templates.
 func U3Matrix(theta, phi, lambda float64) linalg.Matrix {
-	return u3Matrix(theta, phi, lambda)
+	m := linalg.New(2)
+	u3Into(m.Data, theta, phi, lambda)
+	return m
 }
 
 // Inverse returns a gate application implementing g†, expressed in the same

@@ -67,14 +67,23 @@ func (m Matrix) Clone() Matrix {
 // Mul returns the matrix product a·b. It panics if dimensions differ, which
 // indicates a programming error in gate bookkeeping.
 func Mul(a, b Matrix) Matrix {
-	if a.N != b.N {
-		panic(fmt.Sprintf("linalg: Mul: dimension mismatch %d vs %d", a.N, b.N))
+	out := New(a.N)
+	MulInto(out, a, b)
+	return out
+}
+
+// MulInto writes a·b into dst, which must have their dimension and must not
+// share storage with either. It allocates nothing; Mul is New plus MulInto,
+// so both produce the same bits.
+func MulInto(dst, a, b Matrix) {
+	if a.N != b.N || dst.N != a.N {
+		panic(fmt.Sprintf("linalg: Mul: dimension mismatch %d vs %d into %d", a.N, b.N, dst.N))
 	}
 	n := a.N
-	out := New(n)
+	clear(dst.Data)
 	for i := 0; i < n; i++ {
 		arow := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
+		orow := dst.Data[i*n : (i+1)*n]
 		for k := 0; k < n; k++ {
 			aik := arow[k]
 			if aik == 0 {
@@ -86,7 +95,6 @@ func Mul(a, b Matrix) Matrix {
 			}
 		}
 	}
-	return out
 }
 
 // MulAll multiplies a sequence of matrices left to right:

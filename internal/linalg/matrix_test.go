@@ -306,3 +306,25 @@ func u3ForTest(t, p, l float64) Matrix {
 		{e(p) * s, e(p+l) * c},
 	})
 }
+
+// TestMulIntoOverwritesStale pins MulInto's reuse contract: into a buffer
+// holding stale entries it writes exactly Mul's bits.
+func TestMulIntoOverwritesStale(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 4, 8} {
+		a, b, dst := New(n), New(n), New(n)
+		for i := range a.Data {
+			a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			b.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			dst.Data[i] = complex(float64(i), 1)
+		}
+		a.Data[1] = 0 // exercise the zero-skip
+		MulInto(dst, a, b)
+		want := Mul(a, b)
+		for i := range want.Data {
+			if dst.Data[i] != want.Data[i] {
+				t.Fatalf("n=%d: entry %d is %v, Mul has %v", n, i, dst.Data[i], want.Data[i])
+			}
+		}
+	}
+}

@@ -12,6 +12,8 @@ package phasepoly
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
@@ -19,128 +21,66 @@ import (
 	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
-// parityState tracks, per qubit, an affine function of tracked variables:
-// a bitset of variable indices plus a constant bit.
-type parityState struct {
-	bits []uint64
-	c    bool
-}
-
-func (p parityState) clone(words int) parityState {
-	b := make([]uint64, words)
-	copy(b, p.bits)
-	return parityState{bits: b, c: p.c}
-}
-
-func (p *parityState) xorWith(q parityState) {
-	for i := range q.bits {
-		for len(p.bits) <= i {
-			p.bits = append(p.bits, 0)
-		}
-		p.bits[i] ^= q.bits[i]
-	}
-	p.c = p.c != q.c
-}
-
-func (p parityState) key() string {
-	// Trim trailing zero words so keys are epoch-stable.
-	end := len(p.bits)
-	for end > 0 && p.bits[end-1] == 0 {
-		end--
-	}
-	buf := make([]byte, 0, end*8)
-	for _, w := range p.bits[:end] {
-		for s := 0; s < 64; s += 8 {
-			buf = append(buf, byte(w>>uint(s)))
-		}
-	}
-	return string(buf)
-}
-
-// zAngleOf maps a diagonal phase gate to its z-rotation angle (mod global
-// phase), mirroring the table in the rewrite cleaner.
-func zAngleOf(g gate.Gate) (float64, bool) {
-	switch g.Name {
-	case gate.Rz, gate.U1:
-		return g.Params[0], true
-	case gate.Z:
-		return math.Pi, true
-	case gate.S:
-		return math.Pi / 2, true
-	case gate.Sdg:
-		return -math.Pi / 2, true
-	case gate.T:
-		return math.Pi / 4, true
-	case gate.Tdg:
-		return -math.Pi / 4, true
-	}
-	return 0, false
-}
-
-// emitPhase renders a z-rotation in the gate set's native diagonal gates.
+// phaseForm renders a z-rotation in the gate set's native diagonal gates.
 // gs is the resolved set (nil for unknown names, which keep the historical
-// rz fallback).
-func emitPhase(theta float64, q int, gatesetName string, gs *gateset.GateSet) []gate.Gate {
+// rz fallback). A form can be compared with the gates it would replace
+// before any gate is built.
+func phaseForm(theta float64, gatesetName string, gs *gateset.GateSet) gate.PhaseForm {
 	theta = linalg.NormAngle(theta)
 	if math.Abs(theta) < 1e-12 {
-		return nil
+		return gate.PhaseForm{}
 	}
 	switch gatesetName {
 	case "ibmq20":
-		return []gate.Gate{gate.NewU1(theta, q)}
+		return gate.PhaseForm{Rot: gate.U1, Theta: theta}
 	case "cliffordt":
 		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return []gate.Gate{gate.NewRz(theta, q)}
+			return gate.PhaseForm{Rot: gate.Rz, Theta: theta}
 		}
-		return phaseLadder(theta, q)
+		return gate.PhaseLadder(theta)
 	default:
 		// Custom sets emit whatever diagonal vocabulary they carry; the
 		// capability pre-check in foldChanged guarantees one exists and
 		// that π/4-ladder-only sets never see a non-multiple total.
 		if gs == nil || gs.Contains(gate.Rz) {
-			return []gate.Gate{gate.NewRz(theta, q)}
+			return gate.PhaseForm{Rot: gate.Rz, Theta: theta}
 		}
 		if gs.Contains(gate.U1) {
-			return []gate.Gate{gate.NewU1(theta, q)}
+			return gate.PhaseForm{Rot: gate.U1, Theta: theta}
 		}
-		return phaseLadder(theta, q)
+		return gate.PhaseLadder(theta)
 	}
-}
-
-// phaseLadder writes a π/4-multiple rotation over {S, S†, T, T†}.
-func phaseLadder(theta float64, q int) []gate.Gate {
-	k := int(math.Round(theta/(math.Pi/4))) % 8
-	if k < 0 {
-		k += 8
-	}
-	lad := map[int][]gate.Gate{
-		0: {}, 1: {gate.NewT(q)}, 2: {gate.NewS(q)},
-		3: {gate.NewS(q), gate.NewT(q)}, 4: {gate.NewS(q), gate.NewS(q)},
-		5: {gate.NewSdg(q), gate.NewTdg(q)}, 6: {gate.NewSdg(q)}, 7: {gate.NewTdg(q)},
-	}
-	return lad[k]
 }
 
 // Fold performs one global phase-folding pass, emitting the result in the
 // named gate set's diagonal vocabulary. Non-diagonal gates are untouched;
-// two-qubit gate count is exactly preserved.
+// two-qubit gate count is exactly preserved. The result is always a fresh
+// circuit.
 func Fold(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
-	out, _ := FoldChanged(c, gatesetName)
-	return out
+	return freshCopy(FoldChanged(c, gatesetName))
 }
 
 // FoldFor is Fold against a resolved gate set (required for ad-hoc sets
 // that are not name-addressable).
 func FoldFor(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
-	out, _ := FoldChangedFor(c, gs)
+	return freshCopy(FoldChangedFor(c, gs))
+}
+
+// freshCopy turns a …Changed result into a circuit the caller owns: a
+// zero count means the result is the input itself, so copy it.
+func freshCopy(out *circuit.Circuit, changed int) *circuit.Circuit {
+	if changed == 0 {
+		return out.Clone()
+	}
 	return out
 }
 
 // FoldChanged is Fold plus a change count: the number of phase gates
 // absorbed into a merge site plus the number of merge sites whose
-// re-emitted ladder differs from the original gate. A zero count
-// guarantees the output is structurally identical (circuit.Equal) to the
-// input, so callers can detect no-ops without a deep compare.
+// re-emitted ladder differs from the original gate. A zero count means the
+// output would be structurally identical (circuit.Equal) to the input, and
+// the returned circuit is then c itself: the pass counts first and builds
+// an output only when the count is positive.
 func FoldChanged(c *circuit.Circuit, gatesetName string) (*circuit.Circuit, int) {
 	gs, err := gateset.ByName(gatesetName)
 	if err != nil {
@@ -165,109 +105,222 @@ func foldChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*
 			return c, 0
 		}
 		for _, g := range c.Gates {
-			if a, ok := zAngleOf(g); ok && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9) {
+			if a, ok := gate.ZPhase(g); ok && !linalg.IsMultipleOf(a, math.Pi/4, 1e-9) {
 				return c, 0
 			}
 		}
 	}
-	n := c.NumQubits
-	words := (n + 63) / 64
-	nextVar := 0
-	state := make([]parityState, n)
-	fresh := func(q int) {
-		w := nextVar / 64
-		b := make([]uint64, w+1)
-		b[w] = 1 << uint(nextVar%64)
-		state[q] = parityState{bits: b}
-		nextVar++
+	f := folderPool.Get().(*folder)
+	f.scan(c)
+	changed := f.count(c, gatesetName, gs)
+	out := c
+	if changed > 0 {
+		out = circuit.New(c.NumQubits)
+		for i, g := range c.Gates {
+			if f.drop[i] {
+				continue
+			}
+			if s := f.site[i]; s != 0 {
+				b := &f.buckets[s-1]
+				out.Gates = phaseForm(b.theta(), gatesetName, gs).Append(out.Gates, b.firstQubit)
+				continue
+			}
+			out.Gates = append(out.Gates, g.Clone())
+		}
 	}
-	for q := 0; q < n; q++ {
-		fresh(q)
-	}
+	folderPool.Put(f)
+	return out, changed
+}
 
-	type bucket struct {
-		firstIdx   int
-		firstConst bool
-		firstQubit int
-		total      float64
+// folderPool recycles the fold pass's scratch: the pass runs after nearly
+// every search step, in every concurrent window search.
+var folderPool = sync.Pool{New: func() any { return new(folder) }}
+
+// folder is the scratch of one fold pass. Each qubit carries an affine
+// function of the tracked variables: a parity row of w words (a bitset of
+// variable indices) plus a constant bit. Every untrackable gate gives its
+// qubits fresh variables, so a pre-scan sizes w for all of them.
+type folder struct {
+	w       int
+	rows    []uint64 // qubit q's parity is rows[q*w : (q+1)*w]
+	neg     []bool   // qubit q's constant bit
+	nextVar int
+	buckets []bucket
+	// bucketRows[b*w : (b+1)*w] is the parity bucket b collects; slots is
+	// an open-addressing table over it (bucket index + 1, 0 = empty).
+	bucketRows []uint64
+	slots      []int32
+	drop       []bool  // phase gate i merges into an earlier site
+	site       []int32 // phase gate i hosts bucket site[i]-1 (0 = none)
+}
+
+// bucket collects the z-rotations applied to one parity; it is emitted at
+// its first gate's position.
+type bucket struct {
+	firstConst bool
+	firstQubit int
+	total      float64
+}
+
+// theta is the bucket's merged rotation angle on its first qubit.
+func (b *bucket) theta() float64 {
+	if b.firstConst {
+		return -b.total
 	}
-	buckets := map[string]*bucket{}
-	drop := make([]bool, c.Len())
-	siteOf := make([]string, c.Len()) // phase-gate index -> bucket key ("" if none)
+	return b.total
+}
+
+// scan tracks parities through c, filling buckets, drop and site.
+//
+//guoq:hotpath
+func (f *folder) scan(c *circuit.Circuit) {
+	n := c.NumQubits
+	vars, phases := n, 0
+	for _, g := range c.Gates {
+		if _, ok := gate.ZPhase(g); ok {
+			phases++
+		} else if g.Name != gate.CX && g.Name != gate.X {
+			vars += len(g.Qubits)
+		}
+	}
+	f.w = (vars + 63) / 64
+	f.rows = resize(f.rows, n*f.w)
+	f.neg = resize(f.neg, n)
+	clear(f.neg)
+	f.nextVar = 0
+	for q := 0; q < n; q++ {
+		f.fresh(q)
+	}
+	f.buckets = f.buckets[:0]
+	f.bucketRows = f.bucketRows[:0]
+	slots := 1
+	for slots < 2*phases {
+		slots <<= 1
+	}
+	f.slots = resize(f.slots, slots)
+	clear(f.slots)
+	f.drop = resize(f.drop, len(c.Gates))
+	clear(f.drop)
+	f.site = resize(f.site, len(c.Gates))
+	clear(f.site)
 
 	for i, g := range c.Gates {
-		if a, ok := zAngleOf(g); ok {
+		if a, ok := gate.ZPhase(g); ok {
 			q := g.Qubits[0]
-			st := state[q]
-			key := st.key()
 			contrib := a
-			if st.c {
+			if f.neg[q] {
 				contrib = -a
 			}
-			if b, seen := buckets[key]; seen {
-				b.total += contrib
-				drop[i] = true
+			if b := f.bucketOf(q); b < len(f.buckets) {
+				f.buckets[b].total += contrib
+				f.drop[i] = true
 			} else {
-				buckets[key] = &bucket{firstIdx: i, firstConst: st.c, firstQubit: q, total: contrib}
-				siteOf[i] = key
+				f.buckets = append(f.buckets, bucket{firstConst: f.neg[q], firstQubit: q, total: contrib})
+				f.site[i] = int32(len(f.buckets))
 			}
 			continue
 		}
 		switch g.Name {
 		case gate.CX:
 			cq, tq := g.Qubits[0], g.Qubits[1]
-			state[tq].xorWith(state[cq])
+			src, dst := f.row(cq), f.row(tq)
+			for k := range dst {
+				dst[k] ^= src[k]
+			}
+			f.neg[tq] = f.neg[tq] != f.neg[cq]
 		case gate.X:
-			state[cq(g)].c = !state[cq(g)].c
+			q := g.Qubits[0]
+			f.neg[q] = !f.neg[q]
 		default:
 			// Untrackable gate: its qubits leave the affine regime; give
 			// them fresh variables (a new epoch for those wires).
 			for _, q := range g.Qubits {
-				fresh(q)
+				f.fresh(q)
 			}
 		}
 	}
-	_ = words
+}
 
-	out := circuit.New(n)
-	changed := 0
-	// identical tracks, incrementally, whether the output still reproduces
-	// the input gate-for-gate: a merged run can re-emit exactly the gates it
-	// absorbed (adjacent same-parity phases whose ladder equals them), in
-	// which case the pass is a no-op despite having "merged" something.
-	identical := true
-	emit := func(g gate.Gate) {
-		if identical && (len(out.Gates) >= len(c.Gates) || !g.Equal(c.Gates[len(out.Gates)])) {
-			identical = false
-		}
-		out.Gates = append(out.Gates, g)
+func (f *folder) row(q int) []uint64 { return f.rows[q*f.w : (q+1)*f.w] }
+
+// fresh gives qubit q the next unused variable as its parity.
+func (f *folder) fresh(q int) {
+	r := f.row(q)
+	clear(r)
+	r[f.nextVar/64] = 1 << uint(f.nextVar%64)
+	f.neg[q] = false
+	f.nextVar++
+}
+
+// bucketOf returns the bucket collecting qubit q's current parity. When
+// there is none it registers the parity and returns len(f.buckets), the
+// index the caller's new bucket takes.
+//
+//guoq:hotpath
+func (f *folder) bucketOf(q int) int {
+	r := f.row(q)
+	h := uint64(14695981039346656037)
+	for _, w := range r {
+		h = (h ^ w) * 1099511628211
+		h ^= h >> 29
 	}
+	mask := uint64(len(f.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := f.slots[i]
+		if s == 0 {
+			f.slots[i] = int32(len(f.buckets) + 1)
+			f.bucketRows = append(f.bucketRows, r...)
+			return len(f.buckets)
+		}
+		b := int(s - 1)
+		if slices.Equal(f.bucketRows[b*f.w:(b+1)*f.w], r) {
+			return b
+		}
+	}
+}
+
+// count returns the change count of the fold scan recorded: the absorbed
+// phase gates plus the sites that do not re-emit their own gate, or zero
+// when the output would reproduce the input gate for gate (a merged run
+// can re-emit exactly the gates it absorbed: adjacent same-parity phases
+// whose ladder equals them).
+//
+//guoq:hotpath
+func (f *folder) count(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) int {
+	changed, pos := 0, 0
+	identical := true
 	for i, g := range c.Gates {
-		if drop[i] {
+		if f.drop[i] {
 			changed++
 			continue
 		}
-		if key := siteOf[i]; key != "" {
-			b := buckets[key]
-			theta := b.total
-			if b.firstConst {
-				theta = -theta
-			}
-			emitted := emitPhase(theta, b.firstQubit, gatesetName, gs)
-			if !(len(emitted) == 1 && emitted[0].Equal(g)) {
-				changed++
-			}
-			for _, m := range emitted {
-				emit(m)
-			}
+		s := f.site[i]
+		if s == 0 {
+			identical = identical && pos < len(c.Gates) && g.Equal(c.Gates[pos])
+			pos++
 			continue
 		}
-		emit(g.Clone())
+		b := &f.buckets[s-1]
+		form := phaseForm(b.theta(), gatesetName, gs)
+		if !(form.Len() == 1 && form.EqualAt(0, b.firstQubit, g)) {
+			changed++
+		}
+		for k := 0; k < form.Len(); k++ {
+			identical = identical && pos < len(c.Gates) && form.EqualAt(k, b.firstQubit, c.Gates[pos])
+			pos++
+		}
 	}
-	if identical && len(out.Gates) == len(c.Gates) {
-		changed = 0
+	if identical && pos == len(c.Gates) {
+		return 0
 	}
-	return out, changed
+	return changed
 }
 
-func cq(g gate.Gate) int { return g.Qubits[0] }
+// resize returns s with length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

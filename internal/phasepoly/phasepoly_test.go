@@ -3,8 +3,10 @@ package phasepoly
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/guoq-dev/guoq/internal/benchmarks"
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -159,21 +161,63 @@ func TestFoldAnglesAddExactly(t *testing.T) {
 
 // TestFoldChangedMatchesEqual fuzzes the changed-count contract: FoldChanged
 // reports zero exactly when the output is structurally identical to the
-// input, which is what lets callers skip deep no-op compares.
+// input, returning the input itself, and it matches the reference pass's
+// change count and output QASM. Besides random circuits it runs on
+// no-op-shaped inputs: suite families at the fold's fixpoint, and copies
+// with one gate perturbed.
 func TestFoldChangedMatchesEqual(t *testing.T) {
-	for _, gsName := range []string{"nam", "cliffordt", "ibmq20", "ibm-eagle", "ionq"} {
-		gs, err := gateset.ByName(gsName)
-		if err != nil {
-			t.Fatal(err)
-		}
+	ladder, err := gateset.New("adhoc-ladder-fold", "", gate.H, gate.S, gate.Sdg, gate.T, gate.Tdg, gate.X, gate.CX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase, err := gateset.New("adhoc-u1-fold", "", gate.H, gate.U1, gate.SX, gate.CX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gs := range append(gateset.All(), ladder, phase) {
+		gsName := gs.Name
 		rng := rand.New(rand.NewSource(17))
+		var inputs []*circuit.Circuit
 		for trial := 0; trial < 60; trial++ {
-			c := circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng)
+			inputs = append(inputs, circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng))
+		}
+		for _, fam := range []*circuit.Circuit{benchmarks.Adder(3), benchmarks.QFT(4), benchmarks.BarencoTof(4)} {
+			c, err := gateset.Translate(fam, gs)
+			if err != nil {
+				continue // e.g. QFT's angles have no exact Clifford+T form
+			}
+			for changed := 1; changed > 0; {
+				c, changed = referenceFold(c, gsName, gs)
+			}
+			inputs = append(inputs, c)
+			for k := 0; k < 6; k++ {
+				p := c.Clone()
+				i := rng.Intn(p.Len())
+				switch g := p.Gates[i]; {
+				case len(g.Params) > 0 && k%3 == 0:
+					g.Params[0] += math.Pi / 4
+				case k%3 == 1:
+					p.Gates = slices.Insert(p.Gates, i, g.Clone())
+				default:
+					p.Gates = slices.Delete(p.Gates, i, i+1)
+				}
+				inputs = append(inputs, p)
+			}
+		}
+		for trial, c := range inputs {
 			for round := 0; round < 3; round++ {
-				out, changed := FoldChanged(c, gsName)
+				out, changed := FoldChangedFor(c, gs)
 				if got, want := changed > 0, !circuit.Equal(out, c); got != want {
 					t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
 						gsName, trial, round, changed, !want, c, out)
+				}
+				if changed == 0 && out != c {
+					t.Fatalf("%s trial %d round %d: a no-op returned a new circuit", gsName, trial, round)
+				}
+				refOut, refChanged := referenceFold(c, gsName, gs)
+				if changed != refChanged || out.WriteQASM() != refOut.WriteQASM() {
+					t.Fatalf("%s trial %d round %d: changed=%d, reference %d\nin:  %s\nout: %s\nref: %s",
+						gsName, trial, round, changed, refChanged, c, out, refOut)
 				}
 				if changed == 0 {
 					break

@@ -1,9 +1,12 @@
 package rewrite
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/guoq-dev/guoq/internal/benchmarks"
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
@@ -18,21 +21,24 @@ import (
 // re-emission, order-preserving merges) live.
 
 func TestCleanupChangedMatchesEqual(t *testing.T) {
-	for _, gs := range gateset.All() {
+	ladder, err := gateset.New("adhoc-ladder-cleanup", "", gate.H, gate.S, gate.Sdg, gate.T, gate.Tdg, gate.X, gate.CX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase, err := gateset.New("adhoc-u1-cleanup", "", gate.H, gate.U1, gate.SX, gate.CX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gs := range append(gateset.All(), ladder, phase) {
+		cleanup := func(c *circuit.Circuit) (*circuit.Circuit, int) { return CleanupChangedFor(c, gs) }
+		reference := func(c *circuit.Circuit) (*circuit.Circuit, int) { return referenceCleanup(c, gs.Name, gs) }
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 60; trial++ {
 			c := circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng)
-			for round := 0; round < 3; round++ {
-				out, changed := CleanupChanged(c, gs.Name)
-				if got, want := changed > 0, !circuit.Equal(out, c); got != want {
-					t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
-						gs.Name, trial, round, changed, !want, c, out)
-				}
-				if changed == 0 {
-					break
-				}
-				c = out
-			}
+			checkPassRounds(t, gs.Name, trial, c, cleanup, reference)
+		}
+		for i, c := range noOpInputs(t, gs, cleanup) {
+			checkPassRounds(t, gs.Name, -1-i, c, cleanup, reference)
 		}
 	}
 }
@@ -42,22 +48,86 @@ func TestFuse1QChangedMatchesEqual(t *testing.T) {
 		if !gs.Continuous() {
 			continue
 		}
+		fuse := func(c *circuit.Circuit) (*circuit.Circuit, int) { return Fuse1QChanged(c, gs) }
+		reference := func(c *circuit.Circuit) (*circuit.Circuit, int) { return referenceFuse1Q(c, gs) }
 		rng := rand.New(rand.NewSource(13))
 		for trial := 0; trial < 60; trial++ {
 			c := circuit.Random(5, 10+rng.Intn(60), gs.Gates, rng)
-			for round := 0; round < 3; round++ {
-				out, changed := Fuse1QChanged(c, gs)
-				if got, want := changed > 0, !circuit.Equal(out, c); got != want {
-					t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
-						gs.Name, trial, round, changed, !want, c, out)
-				}
-				if changed == 0 {
-					break
-				}
-				c = out
-			}
+			checkPassRounds(t, gs.Name, trial, c, fuse, reference)
+		}
+		for i, c := range noOpInputs(t, gs, fuse) {
+			checkPassRounds(t, gs.Name, -1-i, c, fuse, reference)
 		}
 	}
+}
+
+// checkPassRounds applies pass up to three times (stopping at a no-op) and
+// requires, each round, the contract plus agreement with the reference
+// implementation: the same change count and the same output QASM. A zero
+// count must return the input itself. Trial numbers below zero are the
+// no-op workload inputs.
+func checkPassRounds(t *testing.T, gsName string, trial int, c *circuit.Circuit, pass, reference func(*circuit.Circuit) (*circuit.Circuit, int)) {
+	t.Helper()
+	for round := 0; round < 3; round++ {
+		out, changed := pass(c)
+		if got, want := changed > 0, !circuit.Equal(out, c); got != want {
+			t.Fatalf("%s trial %d round %d: changed=%d but Equal=%v\nin:  %s\nout: %s",
+				gsName, trial, round, changed, !want, c, out)
+		}
+		if changed == 0 && out != c {
+			t.Fatalf("%s trial %d round %d: a no-op returned a new circuit", gsName, trial, round)
+		}
+		refOut, refChanged := reference(c)
+		if changed != refChanged || out.WriteQASM() != refOut.WriteQASM() {
+			t.Fatalf("%s trial %d round %d: changed=%d, reference %d\nin:  %s\nout: %s\nref: %s",
+				gsName, trial, round, changed, refChanged, c, out, refOut)
+		}
+		if changed == 0 {
+			return
+		}
+		c = out
+	}
+}
+
+// noOpInputs returns inputs shaped like the search's steady state: suite
+// families translated to gs and iterated to pass's fixpoint, plus copies
+// with one gate perturbed (an angle moved, a gate doubled, or a gate
+// removed).
+func noOpInputs(t *testing.T, gs *gateset.GateSet, pass func(*circuit.Circuit) (*circuit.Circuit, int)) []*circuit.Circuit {
+	t.Helper()
+	rng := rand.New(rand.NewSource(19))
+	var out []*circuit.Circuit
+	for _, fam := range []*circuit.Circuit{benchmarks.Adder(3), benchmarks.QFT(4), benchmarks.BarencoTof(4)} {
+		c, err := gateset.Translate(fam, gs)
+		if err != nil {
+			continue // e.g. QFT's angles have no exact Clifford+T form
+		}
+		for round := 0; round < 20; round++ {
+			next, changed := pass(c)
+			if changed == 0 {
+				break
+			}
+			c = next
+		}
+		out = append(out, c)
+		for k := 0; k < 6 && c.Len() > 0; k++ {
+			p := c.Clone()
+			i := rng.Intn(p.Len())
+			switch g := p.Gates[i]; {
+			case len(g.Params) > 0 && k%3 == 0:
+				g.Params[0] += math.Pi / 4
+			case k%3 == 1:
+				p.Gates = slices.Insert(p.Gates, i, g.Clone())
+			default:
+				p.Gates = slices.Delete(p.Gates, i, i+1)
+			}
+			out = append(out, p)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no suite family translates", gs.Name)
+	}
+	return out
 }
 
 // TestCleanupForAdHocFiniteSet pins the regression where the z-phase merge

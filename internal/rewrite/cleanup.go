@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math"
+	"sync"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
@@ -14,24 +15,33 @@ import (
 // cx·cx, t·t†, ...), and merges adjacent z-diagonal phase gates and
 // same-axis rotations, emitting the merged gate in the target gate set's
 // native form. It is a single linear pass using per-wire stacks, so it is
-// cheap enough to run after every accepted transformation.
+// cheap enough to run after every accepted transformation. The result is
+// always a fresh circuit.
 func Cleanup(c *circuit.Circuit, gatesetName string) *circuit.Circuit {
-	out, _ := CleanupChanged(c, gatesetName)
-	return out
+	return freshCopy(CleanupChanged(c, gatesetName))
 }
 
 // CleanupFor is Cleanup against a resolved gate set (required for ad-hoc
 // sets that are not name-addressable).
 func CleanupFor(c *circuit.Circuit, gs *gateset.GateSet) *circuit.Circuit {
-	out, _ := CleanupChangedFor(c, gs)
+	return freshCopy(CleanupChangedFor(c, gs))
+}
+
+// freshCopy turns a …Changed result into a circuit the caller owns: a
+// zero count means the result is the input itself, so copy it.
+func freshCopy(out *circuit.Circuit, changed int) *circuit.Circuit {
+	if changed == 0 {
+		return out.Clone()
+	}
 	return out
 }
 
 // CleanupChanged is Cleanup plus a change count: the number of
 // normalization, cancellation, merge, and reorder events that made the
-// output differ from the input. A zero count guarantees the output is
-// structurally identical (circuit.Equal) to the input, so callers can
-// detect no-ops without a deep compare.
+// output differ from the input. A zero count means nothing changed, and
+// the returned circuit is then c itself: the pass counts first and builds
+// an output only when there is one to build, so the common no-op call
+// allocates almost nothing.
 //
 // The name is resolved through the gate-set registry once per call so the
 // z-phase merge can emit in a custom set's native diagonal vocabulary;
@@ -50,26 +60,33 @@ func CleanupChangedFor(c *circuit.Circuit, gs *gateset.GateSet) (*circuit.Circui
 	return cleanupChanged(c, gs.Name, gs)
 }
 
+// cleanerPool recycles the cleanup pass's scratch: the pass runs after
+// nearly every search step, in every concurrent window search.
+var cleanerPool = sync.Pool{New: func() any {
+	return &cleaner{
+		ma: linalg.New(2), mb: linalg.New(2), prod: linalg.New(2),
+		id: linalg.Identity(2),
+	}
+}}
+
 func cleanupChanged(c *circuit.Circuit, gatesetName string, gs *gateset.GateSet) (*circuit.Circuit, int) {
-	p := &cleaner{
-		gateset: gatesetName,
-		gs:      gs,
-		alive:   make([]bool, 0, len(c.Gates)),
-		top:     make([]int, c.NumQubits),
-	}
-	for q := range p.top {
-		p.top[q] = -1
-	}
+	p := cleanerPool.Get().(*cleaner)
+	p.reset(c.NumQubits, gatesetName, gs)
 	for _, g := range c.Gates {
 		p.feed(g)
 	}
-	out := circuit.New(c.NumQubits)
-	for i, g := range p.out {
-		if p.alive[i] {
-			out.Gates = append(out.Gates, g)
+	out, changed := c, p.changed
+	if changed > 0 {
+		out = circuit.New(c.NumQubits)
+		out.Gates = make([]gate.Gate, 0, len(p.out))
+		for i, g := range p.out {
+			if p.alive[i] {
+				out.Gates = append(out.Gates, g)
+			}
 		}
 	}
-	return out, p.changed
+	p.release()
+	return out, changed
 }
 
 type cleaner struct {
@@ -77,46 +94,81 @@ type cleaner struct {
 	gs      *gateset.GateSet // resolved once; nil for unknown names
 	out     []gate.Gate
 	alive   []bool
-	top     []int   // per qubit: index into out of the topmost alive gate, or -1
-	belowQ  [][]int // per out index: the previous top for each of its qubits
-	changed int
-	dropSeq []gate.Gate // scratch: a merged run's gates in drop (reverse) order
+	top     []int // per qubit: index into out of the topmost alive gate, or -1
+	// below[belowOff[i]+k] is the previous top of out[i]'s k-th qubit.
+	below    []int
+	belowOff []int
+	changed  int
+	dropSeq  []gate.Gate // a merged run's gates in drop (reverse) order
+	emitted  []gate.Gate // a merged run's re-emitted gates
+	// 2×2 buffers for the inverse-pair test.
+	ma, mb, prod, id linalg.Matrix
+}
+
+func (p *cleaner) reset(qubits int, gatesetName string, gs *gateset.GateSet) {
+	p.gateset, p.gs = gatesetName, gs
+	p.out, p.alive = p.out[:0], p.alive[:0]
+	p.below, p.belowOff = p.below[:0], p.belowOff[:0]
+	p.changed = 0
+	if cap(p.top) < qubits {
+		p.top = make([]int, qubits)
+	}
+	p.top = p.top[:qubits]
+	for q := range p.top {
+		p.top[q] = -1
+	}
+}
+
+// release drops the scratch's references to the caller's gates and
+// returns it to the pool.
+func (p *cleaner) release() {
+	clear(p.out)
+	clear(p.dropSeq)
+	clear(p.emitted)
+	p.gs = nil
+	cleanerPool.Put(p)
 }
 
 // push appends g as an alive output gate and records, for each of its
 // qubits, the previous top so cancellation can restore the stack.
+//
+//guoq:hotpath
 func (p *cleaner) push(g gate.Gate) {
 	idx := len(p.out)
 	p.out = append(p.out, g)
 	p.alive = append(p.alive, true)
-	prevs := make([]int, len(g.Qubits))
-	for k, q := range g.Qubits {
-		prevs[k] = p.top[q]
+	p.belowOff = append(p.belowOff, len(p.below))
+	for _, q := range g.Qubits {
+		p.below = append(p.below, p.top[q])
 		p.top[q] = idx
 	}
-	p.belowQ = append(p.belowQ, prevs)
 }
 
 // drop kills output gate idx and restores the stack tops for its qubits.
+//
+//guoq:hotpath
 func (p *cleaner) drop(idx int) {
 	p.alive[idx] = false
-	g := p.out[idx]
-	for k, q := range g.Qubits {
+	below := p.below[p.belowOff[idx]:]
+	for k, q := range p.out[idx].Qubits {
 		if p.top[q] == idx {
-			p.top[q] = p.belowQ[idx][k]
+			p.top[q] = below[k]
 		}
 	}
 }
 
+//guoq:hotpath
 func (p *cleaner) feed(g gate.Gate) {
-	// Normalize angles and drop identities.
-	if len(g.Params) > 0 {
-		g = g.Clone()
-		for i := range g.Params {
-			if v := linalg.NormAngle(g.Params[i]); v != g.Params[i] {
-				g.Params[i] = v
-				p.changed++
+	// Normalize angles (copying the gate only when one moves) and drop
+	// identities.
+	cloned := false
+	for i, v := range g.Params {
+		if nv := linalg.NormAngle(v); nv != v {
+			if !cloned {
+				g, cloned = g.Clone(), true
 			}
+			g.Params[i] = nv
+			p.changed++
 		}
 	}
 	if g.Name == gate.I || g.IsIdentityAngle(1e-12) {
@@ -133,6 +185,7 @@ func (p *cleaner) feed(g gate.Gate) {
 	}
 }
 
+//guoq:hotpath
 func (p *cleaner) feed1q(g gate.Gate) {
 	q := g.Qubits[0]
 	t := p.top[q]
@@ -142,8 +195,10 @@ func (p *cleaner) feed1q(g gate.Gate) {
 	}
 	prev := p.out[t]
 	// Inverse pair cancellation: U_g · U_prev ∝ I.
-	prod := linalg.Mul(gate.Matrix(g), gate.Matrix(prev))
-	if linalg.EqualUpToPhase(prod, linalg.Identity(2), 1e-10) {
+	gate.MatrixInto(g, p.ma)
+	gate.MatrixInto(prev, p.mb)
+	linalg.MulInto(p.prod, p.ma, p.mb)
+	if linalg.EqualUpToPhase(p.prod, p.id, 1e-10) {
 		p.changed++
 		p.drop(t)
 		return
@@ -151,8 +206,8 @@ func (p *cleaner) feed1q(g gate.Gate) {
 	// z-diagonal merging: absorb the whole consecutive diagonal run below
 	// the top, then emit the minimal ladder once. (Re-feeding the ladder
 	// would loop: the k=3 ladder [s, t] merges straight back to 3π/4.)
-	pa, pok := zPhaseOf(prev)
-	ga, gok := zPhaseOf(g)
+	pa, pok := gate.ZPhase(prev)
+	ga, gok := gate.ZPhase(g)
 	if pok && gok {
 		total := pa + ga
 		droppedLo := t
@@ -163,7 +218,7 @@ func (p *cleaner) feed1q(g gate.Gate) {
 			if t2 < 0 || !p.alive[t2] || len(p.out[t2].Qubits) != 1 {
 				break
 			}
-			a2, ok := zPhaseOf(p.out[t2])
+			a2, ok := gate.ZPhase(p.out[t2])
 			if !ok {
 				break
 			}
@@ -172,58 +227,39 @@ func (p *cleaner) feed1q(g gate.Gate) {
 			droppedLo = t2
 			p.drop(t2)
 		}
-		emitted, representable := p.emitZPhase(linalg.NormAngle(total))
-		if !representable {
-			// The target set has no exact native form for the merged angle
-			// (a custom finite set without z-phase gates): restore the run
-			// untouched. Restoring reorders the output only when something
-			// alive follows the run, which is the one case that counts as
-			// a change.
-			for i := droppedLo + 1; i < len(p.out); i++ {
-				if p.alive[i] {
-					p.changed++
-					break
-				}
+		form, representable := p.zPhaseForm(linalg.NormAngle(total))
+		// The merge reproduces the run when the form renders the dropped
+		// run plus g gate for gate; the run (kept as is) then counts as a
+		// change only if re-pushing it at the end reorders the output,
+		// i.e. something alive follows it. A set with no exact native form
+		// for the merged angle (a custom finite set without z-phase gates)
+		// keeps the run the same way.
+		same := !representable || form.Len() == len(p.dropSeq)+1
+		for i := 0; representable && same && i < form.Len(); i++ {
+			orig := g
+			if i < len(p.dropSeq) {
+				orig = p.dropSeq[len(p.dropSeq)-1-i]
 			}
-			for i := len(p.dropSeq) - 1; i >= 0; i-- {
-				p.push(p.dropSeq[i])
-			}
-			p.push(g)
-			return
-		}
-		for i := range emitted {
-			emitted[i].Qubits = []int{q}
-		}
-		// The merge is a no-op iff the re-emitted ladder reproduces the
-		// dropped run plus g exactly AND the run was the alive suffix of
-		// the output (re-pushing at the end then preserves order).
-		same := len(emitted) == len(p.dropSeq)+1
-		if same {
-			for i, m := range emitted {
-				orig := g
-				if i < len(p.dropSeq) {
-					orig = p.dropSeq[len(p.dropSeq)-1-i]
-				}
-				if !m.Equal(orig) {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
-			for i := droppedLo + 1; i < len(p.out); i++ {
-				if p.alive[i] {
-					same = false
-					break
-				}
-			}
+			same = form.EqualAt(i, q, orig)
 		}
 		if !same {
 			p.changed++
+			p.emitted = form.Append(p.emitted[:0], q)
+			for _, m := range p.emitted {
+				p.push(m)
+			}
+			return
 		}
-		for _, m := range emitted {
-			p.push(m)
+		for i := droppedLo + 1; i < len(p.out); i++ {
+			if p.alive[i] {
+				p.changed++
+				break
+			}
 		}
+		for i := len(p.dropSeq) - 1; i >= 0; i-- {
+			p.push(p.dropSeq[i])
+		}
+		p.push(g)
 		return
 	}
 	// Same-axis rotation merging (rx·rx, ry·ry), absorbing the whole run.
@@ -249,6 +285,7 @@ func (p *cleaner) feed1q(g gate.Gate) {
 	p.push(g)
 }
 
+//guoq:hotpath
 func (p *cleaner) feed2q(g gate.Gate) {
 	a, b := g.Qubits[0], g.Qubits[1]
 	ta, tb := p.top[a], p.top[b]
@@ -286,80 +323,39 @@ func (p *cleaner) feed2q(g gate.Gate) {
 	p.push(g)
 }
 
-// zPhaseOf returns the z-rotation angle of a diagonal phase gate (mod
-// global phase) and whether the gate is one.
-func zPhaseOf(g gate.Gate) (float64, bool) {
-	switch g.Name {
-	case gate.Rz:
-		return g.Params[0], true
-	case gate.U1:
-		return g.Params[0], true
-	case gate.Z:
-		return math.Pi, true
-	case gate.S:
-		return math.Pi / 2, true
-	case gate.Sdg:
-		return -math.Pi / 2, true
-	case gate.T:
-		return math.Pi / 4, true
-	case gate.Tdg:
-		return -math.Pi / 4, true
-	}
-	return 0, false
-}
-
-// emitZPhase renders a z-rotation angle in the target gate set's native
-// diagonal gates (qubits are filled in by the caller). ok = false reports
-// that the set has no exact native form for the angle (possible only for
-// custom sets without continuous z-phase gates), in which case the caller
-// must keep the original run.
-func (p *cleaner) emitZPhase(theta float64) (out []gate.Gate, ok bool) {
+// zPhaseForm renders a z-rotation angle in the target gate set's native
+// diagonal gates. ok = false reports that the set has no exact native form
+// for the angle (possible only for custom sets without continuous z-phase
+// gates), in which case the caller must keep the original run.
+func (p *cleaner) zPhaseForm(theta float64) (form gate.PhaseForm, ok bool) {
 	if math.Abs(theta) < 1e-12 {
-		return nil, true
+		return gate.PhaseForm{}, true
 	}
 	switch p.gateset {
 	case "ibmq20":
-		return []gate.Gate{gate.New(gate.U1, []int{0}, []float64{theta})}, true
+		return gate.PhaseForm{Rot: gate.U1, Theta: theta}, true
 	case "cliffordt":
 		if !linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
 			// Not representable — should not happen for native circuits;
 			// fall back to an rz to preserve semantics (callers operating
 			// on native Clifford+T circuits never hit this).
-			return []gate.Gate{gate.New(gate.Rz, []int{0}, []float64{theta})}, true
+			return gate.PhaseForm{Rot: gate.Rz, Theta: theta}, true
 		}
-		return phaseLadder(theta), true
+		return gate.PhaseLadder(theta), true
 	default:
 		// nam, ibm-eagle, and ionq emit a native rz, as does any custom or
 		// unknown set with a continuous z-rotation. Custom finite sets get
 		// the π/4 ladder when their basis carries it.
 		if p.gs == nil || p.gs.Contains(gate.Rz) {
-			return []gate.Gate{gate.New(gate.Rz, []int{0}, []float64{theta})}, true
+			return gate.PhaseForm{Rot: gate.Rz, Theta: theta}, true
 		}
 		if p.gs.Contains(gate.U1) {
-			return []gate.Gate{gate.New(gate.U1, []int{0}, []float64{theta})}, true
+			return gate.PhaseForm{Rot: gate.U1, Theta: theta}, true
 		}
 		if p.gs.Contains(gate.S) && p.gs.Contains(gate.Sdg) && p.gs.Contains(gate.T) && p.gs.Contains(gate.Tdg) &&
 			linalg.IsMultipleOf(theta, math.Pi/4, 1e-9) {
-			return phaseLadder(theta), true
+			return gate.PhaseLadder(theta), true
 		}
-		return nil, false
+		return gate.PhaseForm{}, false
 	}
-}
-
-// phaseLadder writes a π/4-multiple z-rotation as a minimal sequence over
-// {S, S†, T, T†} (qubit 0; the caller rebinds qubits).
-func phaseLadder(theta float64) []gate.Gate {
-	k := int(math.Round(theta/(math.Pi/4))) % 8
-	if k < 0 {
-		k += 8
-	}
-	lad := map[int][]gate.Name{
-		0: {}, 1: {gate.T}, 2: {gate.S}, 3: {gate.S, gate.T},
-		4: {gate.S, gate.S}, 5: {gate.Sdg, gate.Tdg}, 6: {gate.Sdg}, 7: {gate.Tdg},
-	}
-	var out []gate.Gate
-	for _, n := range lad[k] {
-		out = append(out, gate.New(n, []int{0}, nil))
-	}
-	return out
 }
