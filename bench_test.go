@@ -482,8 +482,8 @@ func BenchmarkUnitary6Q(b *testing.B) {
 }
 
 // BenchmarkRuleFullPass is the "before" of the incremental-engine pair: the
-// pure, stateless API that rebuilds the DAG and rescans every anchor on
-// every call.
+// pure, stateless API that rebuilds the DAG and rescans every candidate
+// anchor on every call.
 func BenchmarkRuleFullPass(b *testing.B) {
 	rules, _ := rewrite.RulesFor("nam")
 	rng := rand.New(rand.NewSource(2))
@@ -577,6 +577,33 @@ func BenchmarkFuse1Q(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	c := circuit.Random(16, 600, gateset.IBMEagle.Gates, rng)
 	benchPass(b, c, gateset.IBMEagle, rewrite.Fuse1QChanged)
+}
+
+// BenchmarkDAGMultiSplice measures the rewrite engine's DAG maintenance
+// on the window shape the fixpoint search works on, a 256-gate ibm-eagle
+// slice of the adder: each iteration splices three 4-gate windows down to
+// 2 gates each (a shrinking full pass) and splices them back (its
+// rollback), so every iteration sees the same circuit.
+func BenchmarkDAGMultiSplice(b *testing.B) {
+	full, err := gateset.Translate(benchmarks.Adder(8), gateset.IBMEagle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := circuit.New(full.NumQubits)
+	c.Gates = append([]gate.Gate(nil), full.Gates[:256]...)
+	d := circuit.BuildDAG(c)
+	var fwd, back []circuit.SpliceWindow
+	for i, lo := range []int{20, 120, 220} {
+		removed := append([]gate.Gate(nil), c.Gates[lo:lo+4]...)
+		fwd = append(fwd, circuit.SpliceWindow{Lo: lo, Hi: lo + 3, Repl: removed[1:3]})
+		back = append(back, circuit.SpliceWindow{Lo: lo - 2*i, Hi: lo - 2*i + 1, Repl: removed})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.MultiSplice(fwd)
+		d.MultiSplice(back)
+	}
 }
 
 func BenchmarkGrowConvex(b *testing.B) {

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/guoq-dev/guoq/internal/circuit"
 	"github.com/guoq-dev/guoq/internal/gate"
 	"github.com/guoq-dev/guoq/internal/gateset"
+	"github.com/guoq-dev/guoq/internal/linalg"
 )
 
 // The changed-count contract: a pass reports changed == 0 exactly when its
@@ -162,5 +164,47 @@ func TestCleanupForAdHocFiniteSet(t *testing.T) {
 	out2, _ := CleanupChangedFor(zz, bare)
 	if !bare.IsNative(out2) {
 		t.Fatalf("cleanup pushed a bare set out of basis: %v", out2.Gates)
+	}
+}
+
+// The cleanup pre-screen skips the inverse-pair matrix check for a z-phase
+// gate next to a never-diagonal gate. It must never skip a pair that the
+// check would cancel: every never-diagonal gate has an off-diagonal entry,
+// and no such pair multiplies to a multiple of the identity, in either
+// order, at any sampled angle.
+func TestCleanupDiagonalPrescreenExact(t *testing.T) {
+	var never []gate.Name
+	for _, n := range gate.Names() {
+		if !neverDiagonal(n) {
+			continue
+		}
+		never = append(never, n)
+		m := gate.Matrix(gate.New(n, []int{0}, nil))
+		if cmplx.Abs(m.At(0, 1))+cmplx.Abs(m.At(1, 0)) < 1e-9 {
+			t.Fatalf("%s is diagonal but listed as never diagonal", n)
+		}
+	}
+	if len(never) != 5 {
+		t.Fatalf("neverDiagonal lists %v, want x, y, h, sx, sxdg", never)
+	}
+	phases := []gate.Gate{gate.NewZ(0), gate.NewS(0), gate.NewSdg(0), gate.NewT(0), gate.NewTdg(0)}
+	for _, a := range []float64{0, 1e-13, math.Pi / 4, math.Pi / 2, math.Pi, -math.Pi / 2, 2.3} {
+		phases = append(phases, gate.NewRz(a, 0), gate.NewU1(a, 0))
+	}
+	for _, pg := range phases {
+		if _, ok := gate.ZPhase(pg); !ok {
+			t.Fatalf("%s is not a z-phase gate", pg)
+		}
+		for _, n := range never {
+			ng := gate.New(n, []int{0}, nil)
+			for _, prod := range []linalg.Matrix{
+				linalg.Mul(gate.Matrix(pg), gate.Matrix(ng)),
+				linalg.Mul(gate.Matrix(ng), gate.Matrix(pg)),
+			} {
+				if linalg.EqualUpToPhase(prod, linalg.Identity(2), 1e-10) {
+					t.Fatalf("%s · %s is ∝ I, but the pre-screen skips it", pg, ng)
+				}
+			}
+		}
 	}
 }

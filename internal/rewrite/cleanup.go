@@ -194,20 +194,25 @@ func (p *cleaner) feed1q(g gate.Gate) {
 		return
 	}
 	prev := p.out[t]
-	// Inverse pair cancellation: U_g · U_prev ∝ I.
-	gate.MatrixInto(g, p.ma)
-	gate.MatrixInto(prev, p.mb)
-	linalg.MulInto(p.prod, p.ma, p.mb)
-	if linalg.EqualUpToPhase(p.prod, p.id, 1e-10) {
-		p.changed++
-		p.drop(t)
-		return
+	pa, pok := gate.ZPhase(prev)
+	ga, gok := gate.ZPhase(g)
+	// Inverse pair cancellation: U_g · U_prev ∝ I. When one gate is
+	// diagonal at every angle (a z-phase gate) and the other at none, the
+	// product cannot be ∝ I — that would make the second gate diagonal —
+	// so the matrix check is skipped without changing its verdict.
+	if !(pok && neverDiagonal(g.Name) || gok && neverDiagonal(prev.Name)) {
+		gate.MatrixInto(g, p.ma)
+		gate.MatrixInto(prev, p.mb)
+		linalg.MulInto(p.prod, p.ma, p.mb)
+		if linalg.EqualUpToPhase(p.prod, p.id, 1e-10) {
+			p.changed++
+			p.drop(t)
+			return
+		}
 	}
 	// z-diagonal merging: absorb the whole consecutive diagonal run below
 	// the top, then emit the minimal ladder once. (Re-feeding the ladder
 	// would loop: the k=3 ladder [s, t] merges straight back to 3π/4.)
-	pa, pok := gate.ZPhase(prev)
-	ga, gok := gate.ZPhase(g)
 	if pok && gok {
 		total := pa + ga
 		droppedLo := t
@@ -283,6 +288,17 @@ func (p *cleaner) feed1q(g gate.Gate) {
 		return
 	}
 	p.push(g)
+}
+
+// neverDiagonal reports the fixed 1-qubit gates whose matrix is never
+// diagonal. Parameterised gates other than the z-phases (rx, ry, u2, u3)
+// are left out and keep the full inverse-pair check.
+func neverDiagonal(n gate.Name) bool {
+	switch n {
+	case gate.X, gate.Y, gate.H, gate.SX, gate.SXdg:
+		return true
+	}
+	return false
 }
 
 //guoq:hotpath

@@ -45,6 +45,15 @@ import (
 // reject path (propose, apply, cost, rollback, re-propose later) re-runs no
 // matcher work once a site has been evaluated against each live rule.
 //
+// Anchor lists: a match is anchored at a gate named like the rule's first
+// pattern gate, so the Engine keeps, per gate name, the ascending positions
+// of the gates with that name, and a scan visits only its rule's list — in
+// the same (start+k) % n order as visiting every gate, so the first match
+// found, every cache verdict and the output are unchanged; the cache
+// records verdicts only at those anchors. Splices (forward and rollback)
+// merge each list in one linear pass that looks up only the replacement
+// gates' names; whole-circuit mutations rescan.
+//
 // An Engine is not safe for concurrent use; parallel searches thread one
 // Engine per worker.
 type Engine struct {
@@ -54,6 +63,16 @@ type Engine struct {
 	caches   map[*Rule]*ruleCache
 	rules    []*ruleCache // caches in creation order, for stable iteration
 	maxDepth int          // deepest per-rule halo among cached rules, for the BFS
+
+	// Per-kind anchor lists: anchors[k] holds, ascending, the positions of
+	// the gates named kinds[k]. A rule's scan visits only the list of its
+	// first pattern gate's name. Splices keep the lists current with one
+	// linear merge per kind (spliceAnchors); whole-circuit changes rescan
+	// (indexAnchors).
+	kinds     []gate.Name
+	anchors   [][]int
+	anchorIns [][]int // per kind: the current splice's inserted positions
+	anchorTmp []int   // merge scratch for spliceAnchors
 
 	scratch  *matchScratch
 	used     []bool
@@ -120,6 +139,7 @@ type ruleCache struct {
 	state []byte
 	pos   []posEntry
 	depth int
+	kind  int // index of the rule's anchor list (Pattern[0]'s name)
 }
 
 // posEntry is one cached positive match, keyed by its anchor index.
@@ -266,6 +286,7 @@ func NewEngine(c *circuit.Circuit) *Engine {
 		scratch: newMatchScratch(),
 	}
 	e.dag = circuit.BuildDAG(e.c)
+	e.indexAnchors()
 	return e
 }
 
@@ -378,7 +399,7 @@ func (e *Engine) cacheFor(r *Rule) *ruleCache {
 	rc := e.caches[r]
 	if rc == nil {
 		n := len(e.c.Gates)
-		rc = &ruleCache{state: make([]byte, n), depth: r.HaloDepth()}
+		rc = &ruleCache{state: make([]byte, n), depth: r.HaloDepth(), kind: e.kindOf(r.Pattern[0].Name)}
 		e.caches[r] = rc
 		e.rules = append(e.rules, rc)
 		if rc.depth > e.maxDepth {
@@ -403,16 +424,20 @@ func (e *Engine) FullPass(r *Rule, start int) int {
 		return 0
 	}
 	rc := e.cacheFor(r)
+	// used stays all-false between passes: the scan marks only the matched
+	// windows, which are cleared again below.
 	if cap(e.used) < n {
 		e.used = make([]bool, n)
 	}
 	used := e.used[:n]
-	for i := range used {
-		used[i] = false
-	}
 	e.flushPending()
 	e.scanCount++
-	ms := findMatches(e.c, e.dag, r, start, e.scratch, used, rc, e.matchBuf[:0], &e.stats)
+	ms := findMatches(e.c, e.dag, r, e.anchors[rc.kind], start, e.scratch, used, rc, e.matchBuf[:0], &e.stats)
+	for _, m := range ms {
+		for i := m.Lo; i <= m.Hi; i++ {
+			used[i] = false
+		}
+	}
 	if len(ms) == 0 {
 		e.matchBuf = ms[:0]
 		return 0
@@ -438,13 +463,7 @@ func (e *Engine) FullPass(r *Rule, start int) int {
 			}
 			repl = append(repl, e.c.Gates[i])
 		}
-		for _, g := range m.Rule.ReplacementCircuitAt(m.Binding) {
-			ng := g.Clone()
-			for k, pq := range ng.Qubits {
-				ng.Qubits[k] = m.QubitMap[pq]
-			}
-			repl = append(repl, ng)
-		}
+		repl = m.Rule.appendReplacement(repl, m.Binding, m.QubitMap)
 	}
 	offs = append(offs, len(repl))
 	e.replBuf = repl
@@ -583,12 +602,14 @@ func (e *Engine) Reset(c *circuit.Circuit) {
 	e.rebuildAll()
 }
 
-// rebuildAll recomputes the DAG from the current gate list and wipes every
-// rule cache (a whole-circuit change has no useful halo).
+// rebuildAll recomputes the DAG and the anchor lists from the current gate
+// list and wipes every rule cache (a whole-circuit change has no useful
+// halo).
 func (e *Engine) rebuildAll() {
 	e.stats.Resets++
 	e.pendLive = false // the wipe below supersedes any parked halo
 	e.dag.Rebuild()
+	e.indexAnchors()
 	n := len(e.c.Gates)
 	for _, rc := range e.rules {
 		if cap(rc.state) < n {
@@ -695,6 +716,7 @@ func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record, halo bool) {
 	}
 
 	e.dag.MultiSplice(ws)
+	e.spliceAnchors(ws)
 	for _, rc := range e.rules {
 		rc.state = e.multiSpliceBytes(rc.state, ws)
 		rc.posSplice(ws)
@@ -715,6 +737,89 @@ func (e *Engine) multiSplice(ws []circuit.SpliceWindow, record, halo bool) {
 
 	e.seedQ = seeds[:0]
 	e.qOffs = qOffs[:0]
+}
+
+// kindOf returns the index of name's anchor list, creating an empty list
+// for a name not seen before. An engine sees a handful of names, so a
+// linear scan suffices.
+//
+//guoq:hotpath
+func (e *Engine) kindOf(name gate.Name) int {
+	for k, kn := range e.kinds {
+		if kn == name {
+			return k
+		}
+	}
+	e.kinds = append(e.kinds, name)
+	e.anchors = append(e.anchors, nil)
+	e.anchorIns = append(e.anchorIns, nil)
+	return len(e.kinds) - 1
+}
+
+// indexAnchors rebuilds every anchor list with one scan of the gate list.
+func (e *Engine) indexAnchors() {
+	for k := range e.anchors {
+		e.anchors[k] = e.anchors[k][:0]
+	}
+	for i, g := range e.c.Gates {
+		k := e.kindOf(g.Name)
+		e.anchors[k] = append(e.anchors[k], i)
+	}
+}
+
+// spliceAnchors mirrors a multi-window gate splice (windows in pre-splice
+// coordinates, as passed to DAG.MultiSplice) on the anchor lists: entries
+// inside a replaced window are dropped, entries past it shift by the
+// window's size delta, and each replacement gate's post-splice position
+// is merged into its name's list. Only the replacement gates' names are
+// looked up; every list is rewritten from its first entry at or past the
+// first window, in one linear merge.
+//
+//guoq:hotpath
+func (e *Engine) spliceAnchors(ws []circuit.SpliceWindow) {
+	if len(ws) == 0 {
+		return
+	}
+	delta := 0
+	for _, w := range ws {
+		lo := w.Lo + delta
+		for j, g := range w.Repl {
+			k := e.kindOf(g.Name)
+			e.anchorIns[k] = append(e.anchorIns[k], lo+j)
+		}
+		delta += len(w.Repl) - (w.Hi - w.Lo + 1)
+	}
+	for k, old := range e.anchors {
+		ins := e.anchorIns[k]
+		i := sort.SearchInts(old, ws[0].Lo)
+		if i == len(old) && len(ins) == 0 {
+			continue
+		}
+		i0 := i
+		tmp := e.anchorTmp[:0]
+		delta, ii := 0, 0
+		for _, w := range ws {
+			// Entries before the window shift by the windows before it;
+			// entries inside it are replaced, and its own insertions end
+			// just before the first entry past it.
+			for ; i < len(old) && old[i] < w.Lo; i++ {
+				tmp = append(tmp, old[i]+delta)
+			}
+			for i < len(old) && old[i] <= w.Hi {
+				i++
+			}
+			delta += len(w.Repl) - (w.Hi - w.Lo + 1)
+			for ; ii < len(ins) && ins[ii] <= w.Hi+delta; ii++ {
+				tmp = append(tmp, ins[ii])
+			}
+		}
+		for _, a := range old[i:] {
+			tmp = append(tmp, a+delta)
+		}
+		e.anchors[k] = append(old[:i0], tmp...)
+		e.anchorTmp = tmp[:0]
+		e.anchorIns[k] = ins[:0]
+	}
 }
 
 // parkHalo defers one splice's halo invalidation: the job is copied out of

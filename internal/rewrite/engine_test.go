@@ -38,6 +38,9 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 						t.Fatalf("seed %d step %d (%s): engine diverged from scratch pipeline\nengine: %s\nscratch: %s",
 							seed, step, what, eng.Circuit(), ref)
 					}
+					if err := checkAnchorLists(eng); err != nil {
+						t.Fatalf("seed %d step %d (%s): %v", seed, step, what, err)
+					}
 				}
 
 				for step := 0; step < 400; step++ {
@@ -108,6 +111,24 @@ func TestEngineMatchesScratchFullPass(t *testing.T) {
 	}
 }
 
+// checkAnchorLists reports whether the engine's splice-maintained anchor
+// lists equal a fresh scan of its gate list, name by name.
+func checkAnchorLists(e *Engine) error {
+	seen := map[gate.Name]bool{}
+	for k, name := range e.kinds {
+		if want := anchorsOf(e.c, name); fmt.Sprint(e.anchors[k]) != fmt.Sprint(want) {
+			return fmt.Errorf("anchor list of %s = %v, want %v", name, e.anchors[k], want)
+		}
+		seen[name] = true
+	}
+	for i, g := range e.c.Gates {
+		if !seen[g.Name] {
+			return fmt.Errorf("gate %d (%s) has no anchor list", i, g.Name)
+		}
+	}
+	return nil
+}
+
 // TestEngineCacheEngages asserts the negative cache short-circuits rescans
 // in its two production shapes. First, the fixpoint shape (fixed-pass
 // pipelines, warm start): once the reducing rules stop matching, another
@@ -141,8 +162,8 @@ func TestEngineCacheEngages(t *testing.T) {
 		}
 	}
 	st0 := eng.Stats()
-	// One more full round over the fixpoint: all anchors must come from the
-	// cache.
+	// One more full round over the fixpoint: every anchor visited must come
+	// from the cache.
 	for _, r := range reducing {
 		if n := eng.FullPass(r, rng.Intn(eng.Circuit().Len())); n != 0 {
 			t.Fatalf("rule %s matched past its fixpoint", r.Name)
@@ -153,9 +174,19 @@ func TestEngineCacheEngages(t *testing.T) {
 	if st1.MatchCalls != st0.MatchCalls {
 		t.Errorf("fixpoint rescan rematched %d anchors, want 0", st1.MatchCalls-st0.MatchCalls)
 	}
-	if gotSkips := st1.CacheSkips - st0.CacheSkips; gotSkips < len(reducing)*eng.Circuit().Len()/2 {
-		t.Errorf("fixpoint rescan skipped only %d anchors over %d rules × %d gates",
-			gotSkips, len(reducing), eng.Circuit().Len())
+	// A scan visits exactly the gates named like its rule's first pattern
+	// gate, and at the fixpoint every one of them is a cached failure.
+	wantSkips := 0
+	for _, r := range reducing {
+		for _, g := range eng.Circuit().Gates {
+			if g.Name == r.Pattern[0].Name {
+				wantSkips++
+			}
+		}
+	}
+	if gotSkips := st1.CacheSkips - st0.CacheSkips; gotSkips != wantSkips {
+		t.Errorf("fixpoint rescan skipped %d anchors, want exactly %d (the rules' same-name anchors)",
+			gotSkips, wantSkips)
 	}
 	t.Logf("stats: %+v", st1)
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/guoq-dev/guoq/internal/circuit"
+	"github.com/guoq-dev/guoq/internal/gate"
 )
 
 // Match records one occurrence of a rule pattern in a circuit: the matched
@@ -304,7 +305,13 @@ func intsContain(s []int, v int) bool {
 
 // findMatches is the shared greedy scan behind FindMatches and the Engine:
 // non-overlapping matches of r collected from start, wrapping around, in
-// anchor order. used must be all-false with length len(c.Gates). rc, when
+// anchor order. anchors lists, ascending, the positions of every gate
+// named like the rule's first pattern gate — the only gates a match can
+// be anchored at — so the scan visits exactly the anchors of the
+// (start+k) % n order that could match, in that order, and the first
+// match found (hence every result) is the same as visiting all n. used
+// must be all-false with length len(c.Gates); on return it is set exactly
+// inside the returned matches' windows. rc, when
 // non-nil, is the Engine's per-anchor match cache: anchors with a recorded
 // no-match verdict are skipped without rematching, anchors with a cached
 // positive match replay it by DAG navigation instead of re-running the
@@ -314,13 +321,21 @@ func intsContain(s []int, v int) bool {
 // accumulates cache-effectiveness counters.
 //
 //guoq:hotpath
-func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, start int, s *matchScratch, used []bool, rc *ruleCache, out []*Match, st *EngineStats) []*Match {
+func findMatches(c *circuit.Circuit, d *circuit.DAG, r *Rule, anchors []int, start int, s *matchScratch, used []bool, rc *ruleCache, out []*Match, st *EngineStats) []*Match {
 	n := len(c.Gates)
+	if n == 0 || len(anchors) == 0 {
+		return out
+	}
 	if start < 0 {
 		start = 0
 	}
-	for k := 0; k < n; k++ {
-		anchor := (start + k) % n
+	j0 := sort.SearchInts(anchors, start%n)
+	for k := range anchors {
+		j := j0 + k
+		if j >= len(anchors) {
+			j -= len(anchors)
+		}
+		anchor := anchors[j]
 		if used[anchor] {
 			continue
 		}
@@ -394,7 +409,25 @@ func FindMatches(c *circuit.Circuit, r *Rule, start int) []*Match {
 		return nil
 	}
 	d := circuit.BuildDAG(c)
-	return findMatches(c, d, r, start, newMatchScratch(), make([]bool, n), nil, nil, nil)
+	return findMatches(c, d, r, anchorsOf(c, r.Pattern[0].Name), start, newMatchScratch(), make([]bool, n), nil, nil, nil)
+}
+
+// anchorsOf lists, ascending, the positions of c's gates named name, in
+// one exactly sized allocation.
+func anchorsOf(c *circuit.Circuit, name gate.Name) []int {
+	n := 0
+	for _, g := range c.Gates {
+		if g.Name == name {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for i, g := range c.Gates {
+		if g.Name == name {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // MatchAt exposes single-site matching for tests and the beam-search
@@ -437,13 +470,7 @@ func Apply(c *circuit.Circuit, matches []*Match) *circuit.Circuit {
 				out.Gates = append(out.Gates, c.Gates[j])
 			}
 		}
-		for _, g := range m.Rule.ReplacementCircuitAt(m.Binding) {
-			ng := g.Clone()
-			for k, pq := range ng.Qubits {
-				ng.Qubits[k] = m.QubitMap[pq]
-			}
-			out.Gates = append(out.Gates, ng)
-		}
+		out.Gates = m.Rule.appendReplacement(out.Gates, m.Binding, m.QubitMap)
 		i = m.Hi + 1
 	}
 	return out
@@ -454,7 +481,7 @@ func Apply(c *circuit.Circuit, matches []*Match) *circuit.Circuit {
 // When nothing matches, the original circuit is returned unchanged.
 //
 // FullPass is the pure, stateless API: it rebuilds the DAG and rescans
-// every anchor on each call. Iterated callers (the GUOQ loop, fixed-pass
+// every candidate anchor on each call. Iterated callers (the GUOQ loop, fixed-pass
 // pipelines) should prefer an Engine, which keeps both incrementally.
 func FullPass(c *circuit.Circuit, r *Rule, start int) (*circuit.Circuit, int) {
 	ms := FindMatches(c, r, start)

@@ -11,11 +11,12 @@ import (
 // BenchmarkMatchScan{Stateless,Cached} isolate raw match throughput over
 // the full nam rule library on a fixed 16-qubit, 600-gate circuit — the
 // same workload as BenchmarkEngineFullPass minus splicing. Stateless
-// re-runs matchAt at every anchor each scan; Cached answers anchors from
+// re-runs matchAt at every candidate anchor (each gate named like the
+// rule's first pattern gate) each scan; Cached answers anchors from
 // the engine's warm per-anchor verdict index (negative skips + positive
 // replays), which is the steady state of the annealing loop's dominant
-// reject path. The cached scan must stay ≥ 1.2× the stateless one — the
-// ratio is pinned in BENCH_hotloop.json and checked by the perf gate.
+// reject path. Neither is pinned in BENCH_hotloop.json; CI runs each once
+// in its benchmark smoke step.
 func BenchmarkMatchScanStateless(b *testing.B) { benchMatchScan(b, false) }
 func BenchmarkMatchScanCached(b *testing.B)    { benchMatchScan(b, true) }
 
@@ -28,7 +29,8 @@ func benchMatchScan(b *testing.B, cached bool) {
 		// Warm pass: record a verdict at (nearly) every (rule, anchor).
 		for _, r := range rules {
 			used := make([]bool, len(e.c.Gates))
-			findMatches(e.c, e.dag, r, 0, e.scratch, used, e.cacheFor(r), nil, &e.stats)
+			rc := e.cacheFor(r)
+			findMatches(e.c, e.dag, r, e.anchors[rc.kind], 0, e.scratch, used, rc, nil, &e.stats)
 		}
 	}
 	d := circuit.BuildDAG(c)
@@ -43,9 +45,10 @@ func benchMatchScan(b *testing.B, cached bool) {
 				used[j] = false
 			}
 			if cached {
-				out = findMatches(e.c, e.dag, r, 0, e.scratch, used, e.cacheFor(r), out[:0], &e.stats)
+				rc := e.cacheFor(r)
+				out = findMatches(e.c, e.dag, r, e.anchors[rc.kind], 0, e.scratch, used, rc, out[:0], &e.stats)
 			} else {
-				out = findMatches(c, d, r, 0, s, used, nil, out[:0], nil)
+				out = findMatches(c, d, r, anchorsOf(c, r.Pattern[0].Name), 0, s, used, nil, out[:0], nil)
 			}
 		}
 	}

@@ -120,6 +120,9 @@ func TestEngineRollbackHeavyPositiveCache(t *testing.T) {
 				if !circuit.Equal(eng.Circuit(), ref) {
 					t.Fatalf("step %d: engine diverged from scratch pipeline", step)
 				}
+				if err := checkAnchorLists(eng); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 			}
 			st := eng.Stats()
 			if st.Rollbacks == 0 || st.PositiveHits == 0 {

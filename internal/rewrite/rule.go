@@ -4,7 +4,8 @@
 // ("start at a random node and replace every disjoint match").
 //
 // Two execution surfaces apply the rules. FullPass is the pure, stateless
-// API: it rebuilds the circuit DAG and rescans every anchor on each call,
+// API: it rebuilds the circuit DAG and rescans every candidate anchor (each
+// gate named like the rule's first pattern gate) on each call,
 // and returns a fresh circuit — the right tool for one-shot rewrites and
 // for callers that need value semantics. Engine is the incremental API for
 // iterated search: it owns a mutable circuit whose DAG is maintained by
@@ -309,19 +310,39 @@ func (r *Rule) PatternCircuitAt(binding []float64) []gate.Gate {
 	return out
 }
 
-// ReplacementCircuitAt instantiates the rule's replacement under a binding.
+// ReplacementCircuitAt instantiates the rule's replacement under a binding,
+// on the pattern-local qubits.
 func (r *Rule) ReplacementCircuitAt(binding []float64) []gate.Gate {
-	out := make([]gate.Gate, 0, len(r.Replacement))
-	for _, rg := range r.Replacement {
-		ps := make([]float64, len(rg.Params))
-		for i, e := range rg.Params {
-			ps[i] = e.Eval(binding)
-		}
-		qs := make([]int, len(rg.Qubits))
-		copy(qs, rg.Qubits)
-		out = append(out, gate.New(rg.Name, qs, ps))
+	local := make([]int, r.NumQubits)
+	for q := range local {
+		local[q] = q
 	}
-	return out
+	return r.appendReplacement(make([]gate.Gate, 0, len(r.Replacement)), binding, local)
+}
+
+// appendReplacement appends the rule's replacement under a binding to dst
+// with its pattern qubits already mapped to circuit qubits through qmap —
+// the one-step emission behind Engine.FullPass and Apply. Each gate gets
+// one fresh qubit slice and, when it has parameters, one fresh parameter
+// slice, evaluated exactly as ReplacementCircuitAt evaluates them. NewRule
+// has already checked every replacement gate's shape, so no spec lookup is
+// repeated here.
+func (r *Rule) appendReplacement(dst []gate.Gate, binding []float64, qmap []int) []gate.Gate {
+	for _, rg := range r.Replacement {
+		qs := make([]int, len(rg.Qubits))
+		for k, pq := range rg.Qubits {
+			qs[k] = qmap[pq]
+		}
+		var ps []float64
+		if len(rg.Params) > 0 {
+			ps = make([]float64, len(rg.Params))
+			for i, e := range rg.Params {
+				ps[i] = e.Eval(binding)
+			}
+		}
+		dst = append(dst, gate.Gate{Name: rg.Name, Qubits: qs, Params: ps})
+	}
+	return dst
 }
 
 // Verify checks pattern ≡ replacement (mod global phase) at the given
